@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success/certified, 1 inconclusive (budget or depth bound hit),
+Exit codes: 0 success/certified, 1 inconclusive (budget or missing data),
 2 negative mathematical verdict or invalid mathematical input, 64 usage or
 parse error.
 """

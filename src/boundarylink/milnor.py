@@ -2,10 +2,10 @@
 
 mu_bar(I) reads the coefficient of X_{I[0]}..X_{I[-2]} in the Magnus
 expansion of the zero-framed longitude of component I[-1], with the standard
-indeterminacy: the gcd of lower-order invariants over delete-one-index
-cyclic sub-indices.  Homotopy triviality is decided by vanishing of all
-non-repeating invariants, tested by increasing length so each test happens
-at indeterminacy zero and the boolean verdict is exact.
+indeterminacy: the gcd, over delete-one-index cyclic sub-indices, of their
+invariants and of their own indeterminacies.  Homotopy triviality is decided
+by vanishing of all non-repeating invariants, tested by increasing length so
+each test happens at indeterminacy zero and the boolean verdict is exact.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
+from . import __version__
 from . import diagrams as dg
 from .diagrams import LinkDiagram
 from .magnus import magnus_expand
 from .seifert import SeifertMatrix, StructureError
-from .smoves import GoodBasisForm, good_basis_form_check
+from .smoves import _pair_coords, good_basis_form_check
 
 Index = tuple[int, ...]
 
@@ -51,16 +52,12 @@ class MuTable:
         return json.dumps(doc, separators=(", ", ": "))
 
 
-def _longitudes(d: LinkDiagram, depth: int) -> list[dg.Word]:
-    return dg.wirtinger_longitudes(d, depth)
-
-
 def _raw_mu(d: LinkDiagram, i: Index, depth: int,
             cache: dict) -> int:
     reduced = len(set(i)) == len(i)
     key = ("long", depth)
     if key not in cache:
-        cache[key] = _longitudes(d, depth)
+        cache[key] = dg.wirtinger_longitudes(d, depth)
     lon = cache[key][i[-1] - 1]
     ekey = ("exp", depth, i[-1], len(i) - 1, reduced)
     if ekey not in cache:
@@ -80,8 +77,8 @@ def _mu_with_indet(d: LinkDiagram, i: Index, depth: int,
             rest = i[:drop] + i[drop + 1:]
             for rot in range(len(rest)):
                 sub = rest[rot:] + rest[:rot]
-                v, _ = _mu_with_indet(d, sub, depth, cache)
-                indet = gcd(indet, v)
+                v, d_sub = _mu_with_indet(d, sub, depth, cache)
+                indet = gcd(indet, v, d_sub)
     if indet:
         value %= indet
     result = (value, indet)
@@ -161,15 +158,10 @@ def is_ht_plus_pair(p: PairedLink, depth: int | None = None
     return ok, results
 
 
-def star_entries_zero(a: SeifertMatrix, form: GoodBasisForm) -> bool:
+def star_entries_zero(a: SeifertMatrix) -> bool:
     """All entries outside the 2x2 diagonal pair corners vanish."""
-    pairs = []
-    for k in range(a.m):
-        base = a.offset(k)
-        for t in range(a.block_sizes[k] // 2):
-            pairs.append((base + 2 * t, base + 2 * t + 1))
     pair_of = {}
-    for p, (u, v) in enumerate(pairs):
+    for p, (u, v) in enumerate(_pair_coords(a)):
         pair_of[u] = p
         pair_of[v] = p
     for r in range(a.side):
@@ -184,7 +176,7 @@ class Certificate:
     verdict: str                    # certified-freely-slice | hypothesis-failed | inconclusive
     checks: tuple[tuple[str, bool, str], ...]
     input_hashes: tuple[tuple[str, str], ...]
-    version: str = "0.1.0"
+    version: str = __version__
 
     def to_json(self) -> str:
         doc = {
@@ -199,29 +191,6 @@ class Certificate:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def is_ht_plus_good_basis(matrix: SeifertMatrix,
-                          derived: dict[str, LinkDiagram],
-                          depth: int | None = None) -> bool:
-    form = good_basis_form_check(matrix)
-    if form is None:
-        raise StructureError("matrix is not in good-basis form")
-    g = matrix.side // 2
-    for j in range(1, g + 1):
-        for side in ("a", "b"):
-            if f"{side}{j}" not in derived:
-                raise StructureError(f"missing derived diagram {side}{j}")
-    if not star_entries_zero(matrix, form):
-        raise StructureError(
-            "matrix has nonzero off-pair entries, contradicting the supplied "
-            "homotopically-trivial-plus data")
-    for j in range(1, g + 1):
-        for side in ("a", "b"):
-            verdict, _ = is_homotopically_trivial(derived[f"{side}{j}"], depth)
-            if not verdict:
-                return False
-    return True
 
 
 def certify_theorem_A(matrix: SeifertMatrix,
@@ -242,7 +211,7 @@ def certify_theorem_A(matrix: SeifertMatrix,
     if form is None:
         return Certificate("hypothesis-failed", tuple(checks), tuple(hashes))
 
-    stars = star_entries_zero(matrix, form)
+    stars = star_entries_zero(matrix)
     checks.append(("star-entries-zero", stars,
                    "" if stars else "nonzero entry outside the pair corners"))
     if not stars:

@@ -52,12 +52,6 @@ class SeifertMatrix:
         return tuple(row[oj:oj + self.block_sizes[j]]
                      for row in self.entries[oi:oi + self.block_sizes[i]])
 
-    def component_of(self, index: int) -> int:
-        for k in range(self.m):
-            if index < self.offset(k) + self.block_sizes[k]:
-                return k
-        raise IndexError(index)
-
     def to_json(self) -> str:
         doc = {"m": self.m,
                "block_sizes": list(self.block_sizes),

@@ -623,7 +623,7 @@ def _pair_coords(a: SeifertMatrix) -> list[tuple[int, int]]:
 
 
 def good_basis_form_check(a: SeifertMatrix) -> Optional[GoodBasisForm]:
-    """Search for a pair reordering exhibiting the staircase form.
+    """Find a pair reordering exhibiting the staircase form, or None.
 
     In the form, each pair's first coordinate has zero row and column apart
     from its own diagonal block [[0, eps], [1-eps, 0]], entries above-right
@@ -631,7 +631,8 @@ def good_basis_form_check(a: SeifertMatrix) -> Optional[GoodBasisForm]:
     each second coordinate's row agrees with its column outside the pair
     (so the last pair is always removable by an elementary reduction; this
     holds automatically for bases with symplectic geometric intersections).
-    Pairs are chosen from the back of the form, deterministically.
+    Pairs are peeled from the back of the form, deterministically, in time
+    polynomial in the genus.
     """
     if any(s % 2 for s in a.block_sizes):
         raise StructureError("good-basis form needs even block sizes")
@@ -660,32 +661,26 @@ def good_basis_form_check(a: SeifertMatrix) -> Optional[GoodBasisForm]:
                 return None
         return e
 
+    # Removing a pair only drops conditions on the others, so a pair that is
+    # removable now stays removable: peeling greedily never needs to undo a
+    # choice.  Taking the highest removable pair for the rearmost open slot
+    # makes a matrix already in staircase order report the identity ordering.
+    live = list(range(len(pairs)))
     order: list[int] = []
     signs: list[int] = []
     swaps: list[bool] = []
-
-    def solve(live: list[int]) -> bool:
-        if not live:
-            return True
-        # try the highest pair for the rearmost open slot first, so a
-        # matrix already in staircase order reports the identity ordering
-        for p in reversed(live):
-            for swap in (False, True):
-                e = reducible_last(p, live, swap)
-                if e is None:
-                    continue
-                order.append(p)
-                signs.append(e)
-                swaps.append(swap)
-                if solve([q for q in live if q != p]):
-                    return True
-                order.pop()
-                signs.pop()
-                swaps.pop()
-        return False
-
-    if not solve(list(range(len(pairs)))):
-        return None
+    while live:
+        found = next(((p, swap, e) for p in reversed(live)
+                      for swap in (False, True)
+                      if (e := reducible_last(p, live, swap)) is not None),
+                     None)
+        if found is None:
+            return None
+        p, swap, e = found
+        order.append(p)
+        signs.append(e)
+        swaps.append(swap)
+        live.remove(p)
     return GoodBasisForm(tuple(reversed(order)), tuple(reversed(signs)),
                          tuple(reversed(swaps)))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from boundarylink import intmat, seifert, smoves
 
@@ -89,3 +90,110 @@ def rand_congruence(mat: seifert.SeifertMatrix,
                     rng: random.Random) -> smoves.Congruence:
     return smoves.Congruence(tuple(rand_unimodular(s, rng, ops=4)
                                    for s in mat.block_sizes))
+
+
+def good_basis_form_backtrack(a: seifert.SeifertMatrix
+                              ) -> Optional[smoves.GoodBasisForm]:
+    """Reference for smoves.good_basis_form_check: the same staircase
+    conditions, searched by depth-first backtracking over every pair order
+    (factorial in the genus on a reject)."""
+    if any(s % 2 for s in a.block_sizes):
+        raise seifert.StructureError("good-basis form needs even block sizes")
+    pairs = []
+    for k in range(a.m):
+        base = a.offset(k)
+        for t in range(a.block_sizes[k] // 2):
+            pairs.append((base + 2 * t, base + 2 * t + 1))
+    ent = a.entries
+
+    def reducible_last(p, live, swap):
+        u, v = pairs[p]
+        if swap:
+            u, v = v, u
+        if ent[u][u] or ent[v][v]:
+            return None
+        e, f = ent[u][v], ent[v][u]
+        if (e, f) not in ((1, 0), (0, 1)):
+            return None
+        for q in live:
+            if q == p:
+                continue
+            for w in pairs[q]:
+                if ent[u][w] != 0 or ent[w][u] != 0:
+                    return None
+                if ent[v][w] != ent[w][v]:
+                    return None
+        return e
+
+    order, signs, swaps = [], [], []
+
+    def solve(live):
+        if not live:
+            return True
+        for p in reversed(live):
+            for swap in (False, True):
+                e = reducible_last(p, live, swap)
+                if e is None:
+                    continue
+                order.append(p)
+                signs.append(e)
+                swaps.append(swap)
+                if solve([q for q in live if q != p]):
+                    return True
+                order.pop()
+                signs.pop()
+                swaps.pop()
+        return False
+
+    if not solve(list(range(len(pairs)))):
+        return None
+    return smoves.GoodBasisForm(tuple(reversed(order)), tuple(reversed(signs)),
+                                tuple(reversed(swaps)))
+
+
+def rand_perturbed_doubled_matrix(rng: random.Random) -> seifert.SeifertMatrix:
+    """Doubled matrix on 1-3 components in staircase form with symmetric
+    entries between second coordinates, its pairs shuffled within each block
+    and some pairs' coordinates swapped, then 0-3 entries overwritten."""
+    m = rng.randint(1, 3)
+    g = rng.randint(1, 5)
+    eps = [rng.randint(0, 1) for _ in range(g)]
+    base = seifert.whitehead_double_matrix(
+        m, eps, [rng.randrange(m) for _ in range(g)])
+    rows = [list(r) for r in base.entries]
+    seconds = range(1, base.side, 2)
+    for b1 in seconds:
+        for b2 in seconds:
+            if b1 < b2 and rng.random() < 0.3:
+                rows[b1][b2] = rows[b2][b1] = rng.randint(-3, 3)
+    perm = []
+    for k in range(m):
+        off = base.offset(k)
+        order = list(range(base.block_sizes[k] // 2))
+        rng.shuffle(order)
+        for t in order:
+            u, v = off + 2 * t, off + 2 * t + 1
+            perm += [v, u] if rng.random() < 0.5 else [u, v]
+    rows = [[rows[r][c] for c in perm] for r in perm]
+    for _ in range(rng.randint(0, 3)):
+        r, c = rng.randrange(base.side), rng.randrange(base.side)
+        rows[r][c] = rng.choice((-1, 1, 2))
+        if rng.random() < 0.5:
+            rows[c][r] = rows[r][c]
+    return seifert.SeifertMatrix(m, base.block_sizes, intmat.freeze(rows))
+
+
+def blocked_pairs_matrix(rng: random.Random, g: int) -> seifert.SeifertMatrix:
+    """g pairs on one component, two of which block each other (their first
+    coordinates meet, and so do their second coordinates) while the other
+    g - 2 are free: no order gives the staircase form, and a backtracking
+    search tries every order of the free pairs before giving up."""
+    n = 2 * g
+    rows = [[0] * n for _ in range(n)]
+    for p in range(g):
+        e = rng.randint(0, 1)
+        rows[2 * p][2 * p + 1], rows[2 * p + 1][2 * p] = e, 1 - e
+    p, q = sorted(rng.sample(range(g), 2))
+    for u, v in ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)):
+        rows[u][v] = rows[v][u] = rng.choice((1, -1))
+    return seifert.SeifertMatrix(1, (n,), intmat.freeze(rows))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert, smoves
+from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
 
 
 def test_magnus_expand_basics():
@@ -82,6 +82,14 @@ def test_mu_indeterminacy_borromean_length4():
     assert ind != 0
 
 
+def test_mu_indeterminacy_includes_sub_index_indeterminacy():
+    # mu-bar(1,2,3) = +-1 makes the length-4 invariants indeterminate mod 1,
+    # so every length-5 index above them is indeterminate mod 1 as well
+    b = catalog.load("borromean")
+    assert milnor.mu_bar(b, (2, 1, 1, 3, 1)) == (0, 1)
+    assert milnor.mu_bar(b, (3, 1, 2, 1, 1)) == (0, 1)
+
+
 def test_mu_rejects_bad_index():
     h = catalog.load("hopf")
     with pytest.raises(seifert.StructureError):
@@ -147,8 +155,7 @@ def _good_matrix(m):
 
 def test_star_entries_zero():
     mat = _good_matrix(2)
-    form = smoves.good_basis_form_check(mat)
-    assert milnor.star_entries_zero(mat, form)
+    assert milnor.star_entries_zero(mat)
 
 
 def test_certificate_requires_derived_diagrams():

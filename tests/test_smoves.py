@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarylink import catalog, seifert, smoves
-from helpers import rand_congruence, rand_enlargement, rand_valid_matrix
+from helpers import (blocked_pairs_matrix, good_basis_form_backtrack,
+                     rand_congruence, rand_enlargement,
+                     rand_perturbed_doubled_matrix, rand_valid_matrix)
 
 
 def staircase(g: int, eps: int = 1, star: int = 7) -> seifert.SeifertMatrix:
@@ -255,6 +258,34 @@ def test_good_basis_rejects_asymmetric_witness():
     a = seifert.SeifertMatrix(1, (4,), rows)
     assert smoves.good_basis_form_check(a) is None
 
+
+
+def test_good_basis_matches_backtracking_oracle():
+    rng = random.Random(2025)
+    accepted = reordered = 0
+    for _ in range(2000):
+        a = rand_perturbed_doubled_matrix(rng)
+        form = smoves.good_basis_form_check(a)
+        assert form == good_basis_form_backtrack(a)
+        if form is not None:
+            accepted += 1
+            reordered += form.ordering != tuple(sorted(form.ordering))
+    assert 200 < accepted < 1800
+    assert reordered > 0
+
+
+@pytest.mark.parametrize("g", [5, 6, 7])
+def test_good_basis_reject_family_matches_oracle(g):
+    a = blocked_pairs_matrix(random.Random(g), g)
+    assert good_basis_form_backtrack(a) is None
+    assert smoves.good_basis_form_check(a) is None
+
+
+def test_good_basis_reject_family_is_polynomial():
+    a = blocked_pairs_matrix(random.Random(12), 12)
+    t0 = time.monotonic()
+    assert smoves.good_basis_form_check(a) is None
+    assert time.monotonic() - t0 < 1.0
 
 # --- serialization ----------------------------------------------------------
 
