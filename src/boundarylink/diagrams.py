@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .seifert import StructureError
+from .seifert import StructureError, decode_int, decode_int_rows, decode_ints
 
 Passage = tuple[int, str]                 # (crossing id, "o" | "u")
 Crossing = tuple[int, int, int]           # (over strand, under strand, sign)
@@ -103,13 +103,18 @@ class LinkDiagram:
             raise StructureError("trailing data after JSON document")
         if not isinstance(doc, dict):
             raise StructureError("diagram file must contain a JSON object")
+        comps = doc.get("components", {})
+        if not isinstance(comps, dict):
+            raise StructureError("diagram components must be an object "
+                                 "mapping labels to strand lists")
         try:
             return cls(
                 kind=doc["kind"],
-                strands=tuple(tuple((c, r) for c, r in s) for s in doc["strands"]),
-                crossings=tuple(tuple(c) for c in doc["crossings"]),
-                components=tuple((l, tuple(ss))
-                                 for l, ss in doc.get("components", {}).items()),
+                strands=tuple(tuple((decode_int(c, "crossing id"), r)
+                                    for c, r in s) for s in doc["strands"]),
+                crossings=decode_int_rows(doc["crossings"], "crossings"),
+                components=tuple((l, decode_ints(ss, "component strands"))
+                                 for l, ss in comps.items()),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed diagram document: {exc}") from exc
@@ -362,13 +367,16 @@ def exponent_sum(w: Word, gen: int) -> int:
                for letter in w)
 
 
-def wirtinger_longitudes(d: LinkDiagram, depth: int) -> list[Word]:
+def wirtinger_longitudes(d: LinkDiagram,
+                         depth: int | tuple[int, ...]) -> list[Word]:
     """Zero-framed longitudes of a closed diagram as meridian words.
 
     Arc generators are rewritten `depth` times through the crossing relations
     w(out) = o^-sign w(in) o^sign, starting every arc at its component's
     meridian; this is exact modulo the lower central series at the depth the
     caller needs (depth >= the length of any Milnor index to be read off).
+    `depth` may instead give one depth per component: all longitudes then
+    come from one sweep run, each read off after its own number of sweeps.
     The longitude reads off o^sign at each under-passage; this pairing keeps
     mu-bar(ij) equal to the linking number and makes the higher coefficients
     satisfy the cyclic and shuffle relations (the opposite pairing fails them
@@ -376,7 +384,10 @@ def wirtinger_longitudes(d: LinkDiagram, depth: int) -> list[Word]:
     """
     if d.kind != "closed":
         raise StructureError("longitudes need a closed diagram")
-    if depth < 2:
+    depths = (depth,) * d.n if isinstance(depth, int) else tuple(depth)
+    if len(depths) != d.n:
+        raise StructureError(f"need one depth per component, got {len(depths)}")
+    if min(depths, default=2) < 2:
         raise StructureError("depth must be at least 2")
 
     # arcs: strand s splits after each under-passage; arc_of[(s, pos)] is the
@@ -407,7 +418,8 @@ def wirtinger_longitudes(d: LinkDiagram, depth: int) -> list[Word]:
 
     words: dict[tuple[int, int], Word] = {
         (s, j): (s + 1,) for s in range(d.n) for j in range(arc_count[s])}
-    for _sweep in range(depth):
+    longs: list[Word] = [()] * d.n
+    for sweep in range(1, max(depths, default=0) + 1):
         new: dict[tuple[int, int], Word] = {}
         for s in range(d.n):
             ups = under_pos[s]
@@ -427,17 +439,21 @@ def wirtinger_longitudes(d: LinkDiagram, depth: int) -> list[Word]:
                 if out_arc != base:
                     new[(s, out_arc)] = cur
         words = new
-
-    longs: list[Word] = []
-    for s in range(d.n):
-        lon: Word = ()
-        for p, (cid, r) in enumerate(d.strands[s]):
-            if r != "u":
-                continue
-            ov, un, sg = d.crossings[cid]
-            o = words[over_arc_at[cid]]
-            lon = concat(lon, o if sg > 0 else invert_word(o))
-        e = exponent_sum(lon, s + 1)
-        lon = concat(lon, tuple([-(s + 1)] * e if e > 0 else [s + 1] * (-e)))
-        longs.append(lon)
+        for s in range(d.n):
+            if depths[s] == sweep:
+                longs[s] = _read_longitude(d, s, words, over_arc_at)
     return longs
+
+
+def _read_longitude(d: LinkDiagram, s: int,
+                    words: dict[tuple[int, int], Word],
+                    over_arc_at: dict[int, tuple[int, int]]) -> Word:
+    lon: Word = ()
+    for cid, r in d.strands[s]:
+        if r != "u":
+            continue
+        sg = d.crossings[cid][2]
+        o = words[over_arc_at[cid]]
+        lon = concat(lon, o if sg > 0 else invert_word(o))
+    e = exponent_sum(lon, s + 1)
+    return concat(lon, tuple([-(s + 1)] * e if e > 0 else [s + 1] * (-e)))

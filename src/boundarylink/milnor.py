@@ -18,7 +18,7 @@ from math import gcd
 from . import __version__
 from . import diagrams as dg
 from .diagrams import LinkDiagram
-from .magnus import magnus_expand
+from .magnus import Monomial, magnus_expand
 from .seifert import SeifertMatrix, StructureError
 from .smoves import _pair_coords, good_basis_form_check
 
@@ -52,42 +52,39 @@ class MuTable:
         return json.dumps(doc, separators=(", ", ": "))
 
 
-def _raw_mu(d: LinkDiagram, i: Index, depth: int,
-            cache: dict) -> int:
-    reduced = len(set(i)) == len(i)
-    key = ("long", depth)
-    if key not in cache:
-        cache[key] = dg.wirtinger_longitudes(d, depth)
-    lon = cache[key][i[-1] - 1]
-    ekey = ("exp", depth, i[-1], len(i) - 1, reduced)
-    if ekey not in cache:
-        cache[ekey] = magnus_expand(lon, d.n, len(i) - 1, reduced)
-    return cache[ekey].coefficient(i[:-1])
+def _raw_mu(series: dict[int, dict[Monomial, int]], i: Index) -> int:
+    """mu(I) before indeterminacy: the coefficient of X_{I[0]}..X_{I[-2]} in
+    the expansion of the longitude of component I[-1]."""
+    return series[i[-1]].get(i[:-1], 0)
 
 
-def _mu_with_indet(d: LinkDiagram, i: Index, depth: int,
-                   cache: dict) -> tuple[int, int]:
-    mkey = ("mu", i)
-    if mkey in cache:
-        return cache[mkey]
-    value = _raw_mu(d, i, max(depth, len(i)), cache)
-    indet = 0
-    if len(i) > 2:
-        for drop in range(len(i)):
-            rest = i[:drop] + i[drop + 1:]
-            for rot in range(len(rest)):
-                sub = rest[rot:] + rest[:rot]
-                v, d_sub = _mu_with_indet(d, sub, depth, cache)
-                indet = gcd(indet, v, d_sub)
-    if indet:
-        value %= indet
-    result = (value, indet)
-    cache[mkey] = result
-    return result
+def _sub_indices(index: Index) -> dict[Index, tuple[Index, ...]]:
+    """Every index the indeterminacy recursion of mu-bar(index) reads, each
+    with its distinct delete-one-entry cyclic sub-indices (an index of
+    length 2 has none)."""
+    subs: dict[Index, tuple[Index, ...]] = {}
+    todo = [index]
+    while todo:
+        i = todo.pop()
+        if i in subs:
+            continue
+        rests = (i[:k] + i[k + 1:] for k in range(len(i))) if len(i) > 2 else ()
+        subs[i] = tuple(dict.fromkeys(rest[r:] + rest[:r] for rest in rests
+                                      for r in range(len(rest))))
+        todo.extend(subs[i])
+    return subs
 
 
 def mu_bar(d: LinkDiagram, index: Index, depth: int | None = None) -> tuple[int, int]:
-    """(value, indeterminacy) of mu-bar; indeterminacy 0 means exact."""
+    """(value, indeterminacy) of mu-bar; indeterminacy 0 means exact.
+
+    Each component the recursion reads is expanded once: truncated at the
+    largest cap any of its indices needs, in the full ring only if one of its
+    monomials repeats a variable, from longitude words at depth cap + 1 (or
+    `depth`, if larger).  Every index reads its coefficient off that one
+    series; truncation and passing to the reduced ring are ring maps, so the
+    coefficients equal those of a separate expansion per cap and ring.
+    """
     index = tuple(int(j) for j in index)
     if d.kind != "closed":
         raise StructureError("mu-bar needs a closed diagram")
@@ -96,11 +93,31 @@ def mu_bar(d: LinkDiagram, index: Index, depth: int | None = None) -> tuple[int,
     for j in index:
         if not (1 <= j <= d.n):
             raise StructureError(f"component {j} out of range")
-    if depth is None:
-        depth = len(index)
-    if depth < len(index):
+    if depth is not None and depth < len(index):
         raise StructureError(f"depth {depth} below index length {len(index)}")
-    return _mu_with_indet(d, index, depth, {})
+    subs = _sub_indices(index)
+    caps: dict[int, tuple[int, bool]] = {}
+    for i in subs:
+        cap, full = caps.get(i[-1], (1, False))
+        caps[i[-1]] = (max(cap, len(i) - 1),
+                       full or len(set(i[:-1])) < len(i) - 1)
+    floor = depth or 2
+    longs = dg.wirtinger_longitudes(d, tuple(
+        max(floor, caps[c][0] + 1) if c in caps else floor
+        for c in range(1, d.n + 1)))
+    series = {c: magnus_expand(longs[c - 1], d.n, cap, not full).as_dict()
+              for c, (cap, full) in caps.items()}
+    values: dict[Index, tuple[int, int]] = {}
+    for i in sorted(subs, key=len):
+        value = _raw_mu(series, i)
+        indet = 0
+        for sub in subs[i]:
+            v, d_sub = values[sub]
+            indet = gcd(indet, v, d_sub)
+        if indet:
+            value %= indet
+        values[i] = (value, indet)
+    return values[index]
 
 
 def _nonrepeating_indices(m: int, length: int):
@@ -122,12 +139,17 @@ def is_homotopically_trivial(d: LinkDiagram,
     m = d.n
     if depth is None:
         depth = max(m, 2)
-    cache: dict = {}
+    longs: dict[int, list[dg.Word]] = {}
     entries: list[tuple[Index, tuple[int, int]]] = []
     trivial_so_far = True
     for length in range(2, m + 1):
+        at = max(depth, length)
+        if at not in longs:
+            longs[at] = dg.wirtinger_longitudes(d, at)
+        series = {c: magnus_expand(w, m, length - 1).as_dict()
+                  for c, w in enumerate(longs[at], 1)}
         for i in _nonrepeating_indices(m, length):
-            value = _raw_mu(d, i, max(depth, length), cache)
+            value = _raw_mu(series, i)
             # lower-order invariants all vanish, so the value is exact
             entries.append((i, (value, 0)))
             if value != 0:

@@ -68,12 +68,29 @@ class SeifertMatrix:
             raise StructureError("trailing data after JSON document")
         if not isinstance(doc, dict) or set(doc) != {"m", "block_sizes", "rows"}:
             raise StructureError("matrix document must have keys m, block_sizes, rows")
-        try:
-            return cls(doc["m"], tuple(doc["block_sizes"]), intmat.freeze(doc["rows"]))
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, StructureError):
-                raise
-            raise StructureError(f"malformed matrix document: {exc}") from exc
+        return cls(decode_int(doc["m"], "m"),
+                   decode_ints(doc["block_sizes"], "block_sizes"),
+                   decode_int_rows(doc["rows"], "rows"))
+
+
+def decode_int(value, what: str) -> int:
+    """A JSON integer as it stands; floats, booleans and strings are refused,
+    never coerced."""
+    if type(value) is not int:
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def decode_ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise StructureError(f"{what} must be a list of integers")
+    return tuple(decode_int(v, what) for v in values)
+
+
+def decode_int_rows(rows, what: str) -> IntMatrix:
+    if not isinstance(rows, list):
+        raise StructureError(f"{what} must be a list of integer lists")
+    return tuple(decode_ints(r, what) for r in rows)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from typing import Iterable, Optional
 
 from . import intmat
 from .intmat import IntMatrix
-from .seifert import SeifertMatrix, StructureError, is_valid, null_matrix
+from .seifert import (SeifertMatrix, StructureError, decode_int, decode_int_rows,
+                      decode_ints, is_valid, null_matrix)
 
 
 class ReplayError(ValueError):
@@ -704,17 +705,35 @@ def move_to_doc(mv: SMove) -> dict:
 
 
 def move_from_doc(doc: dict) -> SMove:
+    if not isinstance(doc, dict):
+        raise StructureError(f"a move must be a JSON object, got {doc!r}")
     kind = doc.get("move")
     if kind == "congruence":
-        return Congruence(tuple(intmat.freeze(b) for b in doc["blocks"]))
+        if not isinstance(doc["blocks"], list):
+            raise StructureError("congruence blocks must be a list of matrices")
+        blocks = tuple(decode_int_rows(b, "congruence block")
+                       for b in doc["blocks"])
+        for b in blocks:
+            if any(len(row) != len(b) for row in b):
+                raise StructureError("congruence blocks must be square")
+        return Congruence(blocks)
     if kind == "enlarge":
-        return Enlargement(k=doc["k"], eps=tuple(doc["eps"]),
-                           rows=tuple(tuple(r) for r in doc["rows"]),
-                           offset=doc.get("offset", 0),
-                           swapped=doc.get("swapped", False))
+        return Enlargement(k=decode_int(doc["k"], "k"),
+                           eps=decode_ints(doc["eps"], "eps"),
+                           rows=decode_int_rows(doc["rows"], "rows"),
+                           offset=decode_int(doc.get("offset", 0), "offset"),
+                           swapped=_decode_bool(doc.get("swapped", False)))
     if kind == "reduce":
-        return Reduce(doc["k"], doc["offset"], doc.get("swapped", False))
+        return Reduce(decode_int(doc["k"], "k"),
+                      decode_int(doc["offset"], "offset"),
+                      _decode_bool(doc.get("swapped", False)))
     raise StructureError(f"unknown move kind: {kind!r}")
+
+
+def _decode_bool(value) -> bool:
+    if type(value) is not bool:
+        raise StructureError(f"swapped must be true or false, got {value!r}")
+    return value
 
 
 def moves_to_json(moves: Iterable[SMove]) -> str:

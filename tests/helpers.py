@@ -197,3 +197,40 @@ def blocked_pairs_matrix(rng: random.Random, g: int) -> seifert.SeifertMatrix:
     for u, v in ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)):
         rows[u][v] = rows[v][u] = rng.choice((1, -1))
     return seifert.SeifertMatrix(1, (n,), intmat.freeze(rows))
+
+
+def mu_bar_per_cap(d, index: tuple[int, ...],
+                   depth: Optional[int] = None) -> tuple[int, int]:
+    """Oracle for milnor.mu_bar: every component's longitude word at one
+    depth (the index length unless given), and a separate Magnus expansion
+    for each (component, cap, ring) the indeterminacy recursion reads, in
+    the reduced ring exactly when the index does not repeat."""
+    from math import gcd
+
+    from boundarylink import diagrams as dg
+    from boundarylink.magnus import magnus_expand
+
+    depth = len(index) if depth is None else depth
+    longs = dg.wirtinger_longitudes(d, depth)
+    expansions: dict = {}
+    memo: dict = {}
+
+    def raw(i):
+        key = (i[-1], len(i) - 1, len(set(i)) == len(i))
+        if key not in expansions:
+            expansions[key] = magnus_expand(longs[i[-1] - 1], d.n, *key[1:])
+        return expansions[key].coefficient(i[:-1])
+
+    def with_indet(i):
+        if i not in memo:
+            value, indet = raw(i), 0
+            if len(i) > 2:
+                for drop in range(len(i)):
+                    rest = i[:drop] + i[drop + 1:]
+                    for rot in range(len(rest)):
+                        v, d_sub = with_indet(rest[rot:] + rest[:rot])
+                        indet = gcd(indet, v, d_sub)
+            memo[i] = (value % indet if indet else value, indet)
+        return memo[i]
+
+    return with_indet(tuple(index))

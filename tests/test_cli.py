@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from boundarylink import catalog, cli, seifert
+from boundarylink import catalog, cli, seifert, smoves
+
+ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture
@@ -148,3 +154,48 @@ def test_catalog_list_and_export(paths, capsys):
     assert json.loads((paths["tmp"] / "export.json").read_text())
     assert cli.main(["catalog", "export", "no-such-entry"]) == 64
     assert cli.main(["catalog", "export"]) == 64
+
+
+def _malformed(tmp_path, kind):
+    """argv of a blcert call on a malformed document of the given kind."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(catalog.raw_payload("wh-double-matrix"))
+    doc = tmp_path / "doc.json"
+    if kind == "components-list":
+        d = json.loads(catalog.raw_payload("whitehead"))
+        d["components"] = [[label, ss] for label, ss in d["components"].items()]
+        doc.write_text(json.dumps(d))
+        return ["ht", str(doc)]
+    if kind == "moves-not-objects":
+        doc.write_text("[1, 2]")
+        return ["replay", str(matrix), str(doc)]
+    if kind == "ragged-congruence":
+        doc.write_text(json.dumps(
+            [{"move": "congruence", "blocks": [[[1, 0], [0]]]}]))
+        return ["replay", str(matrix), str(doc)]
+    entry = json.loads(kind.split(":", 1)[1])
+    doc.write_text(json.dumps(
+        {"m": 1, "block_sizes": [2], "rows": [[0, entry], [0, 0]]}))
+    return ["validate", str(doc)]
+
+
+@pytest.mark.parametrize("kind", ["components-list", "moves-not-objects",
+                                  "ragged-congruence", "entry:1.9",
+                                  "entry:true", 'entry:"1"'])
+def test_malformed_document_is_usage_error(tmp_path, kind):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "boundarylink.cli", *_malformed(tmp_path, kind)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_non_integer_move_entries_are_refused():
+    for doc in ('[{"move": "reduce", "k": 0.0, "offset": 0}]',
+                '[{"move": "reduce", "k": 0, "offset": 0, "swapped": 1}]',
+                '[{"move": "congruence", "blocks": [[[1, 0], [0, true]]]}]',
+                '[{"move": "enlarge", "k": 0, "eps": [1, 0], "rows": [["1"]]}]'):
+        with pytest.raises(seifert.StructureError):
+            smoves.moves_from_json(doc)

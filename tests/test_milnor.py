@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
+from helpers import mu_bar_per_cap
 
 
 def test_magnus_expand_basics():
@@ -88,6 +90,72 @@ def test_mu_indeterminacy_includes_sub_index_indeterminacy():
     b = catalog.load("borromean")
     assert milnor.mu_bar(b, (2, 1, 1, 3, 1)) == (0, 1)
     assert milnor.mu_bar(b, (3, 1, 2, 1, 1)) == (0, 1)
+
+
+def _oracle_links():
+    _, derived = milnor.build_l_beta_bundle(catalog.load("beta"))
+    a12, a23 = (1, 1), (2, 2)                # Artin generators A_12, A_23
+    inner = a12 + a23 + dg.invert_word(a12) + dg.invert_word(a23)
+    commutator = inner + a12 + dg.invert_word(inner) + dg.invert_word(a12)
+    links = {name: catalog.load(name)
+             for name in ("whitehead", "borromean", "hopf")}
+    links.update(a1=derived["a1"], b2=derived["b2"],
+                 commutator=dg.closure(dg.braid(3, list(commutator))))
+    return links
+
+
+def test_mu_matches_per_cap_oracle():
+    # one expansion per component, read at every cap and ring the recursion
+    # needs, equals a separate expansion per (component, cap, ring)
+    rng = random.Random(20181)
+    links = _oracle_links()
+    for name, d in links.items():
+        for length in range(2, 6):
+            indices = [tuple(rng.randint(1, d.n) for _ in range(length))]
+            if length <= d.n:
+                indices.append(tuple(rng.sample(range(1, d.n + 1), length)))
+            for i in indices:
+                assert milnor.mu_bar(d, i) == mu_bar_per_cap(d, i), (name, i)
+    # longitude words from too few sweeps (two) get these two wrong
+    assert milnor.mu_bar(links["b2"], (1, 2, 2, 3, 2)) == (0, 0)
+    assert milnor.mu_bar(links["b2"], (1, 2, 3, 2, 3)) == (0, 0)
+
+
+def test_mu_deeper_words_change_nothing():
+    rng = random.Random(7)
+    for d in _oracle_links().values():
+        for length in (2, 3, 4):
+            i = tuple(rng.randint(1, d.n) for _ in range(length))
+            assert milnor.mu_bar(d, i, depth=len(i) + 2) == milnor.mu_bar(d, i)
+
+
+def test_mu_expands_each_component_once(monkeypatch):
+    calls = []
+
+    def counting(w, m, cap, reduced=True):
+        calls.append((cap, reduced))
+        return magnus.magnus_expand(w, m, cap, reduced)
+
+    monkeypatch.setattr(milnor, "magnus_expand", counting)
+    b = catalog.load("borromean")
+    milnor.mu_bar(b, (3, 2, 3, 1, 2))
+    # component 2 ends the index (cap 4); 1 and 3 end sub-indices (cap 3);
+    # each has a sub-index whose monomial repeats a variable
+    assert sorted(calls) == [(3, False), (3, False), (4, False)]
+    calls.clear()
+    milnor.mu_bar(b, (1, 2, 3))
+    assert sorted(calls) == [(1, True), (1, True), (2, True)]
+
+
+def test_longitudes_per_component_depth_is_a_snapshot():
+    d = _oracle_links()["b2"]
+    mixed = dg.wirtinger_longitudes(d, (3, 4, 2))
+    for s, depth in enumerate((3, 4, 2)):
+        assert mixed[s] == dg.wirtinger_longitudes(d, depth)[s]
+    with pytest.raises(seifert.StructureError):
+        dg.wirtinger_longitudes(d, (3, 4))
+    with pytest.raises(seifert.StructureError):
+        dg.wirtinger_longitudes(d, (3, 1, 4))
 
 
 def test_mu_rejects_bad_index():
