@@ -163,7 +163,7 @@ def whitehead_closed() -> dg.LinkDiagram:
             continue
         if mu_bar(d, (1, 2))[0] != 0:
             continue
-        sl = mu_bar(d, (1, 1, 2, 2), depth=4)
+        sl = mu_bar(d, (1, 1, 2, 2))
         if abs(sl[0]) == 1:
             cands.append(d)
     if not cands:

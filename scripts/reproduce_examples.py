@@ -26,15 +26,15 @@ def main() -> int:
 
     section("Milnor invariant table")
     rows = [
-        ("hopf", (1, 2), None),
-        ("whitehead", (1, 2), None),
-        ("whitehead", (1, 1, 2, 2), 4),
-        ("borromean", (1, 2, 3), None),
-        ("unlink2", (1, 1, 2, 2), 4),
+        ("hopf", (1, 2)),
+        ("whitehead", (1, 2)),
+        ("whitehead", (1, 1, 2, 2)),
+        ("borromean", (1, 2, 3)),
+        ("unlink2", (1, 1, 2, 2)),
     ]
-    for name, idx, depth in rows:
+    for name, idx in rows:
         d = catalog.load(name)
-        v, ind = milnor.mu_bar(d, idx, depth=depth)
+        v, ind = milnor.mu_bar(d, idx)
         print(f"  mu-bar{idx} of {name:10s} = {v}  (indeterminacy {ind})")
 
     section("link-homotopy verdicts")

@@ -26,7 +26,6 @@ from .smoves import (
     normalize_sequence,
     reduce_to_null,
     replace_min_by_max,
-    s_equivalent_bounded,
 )
 
 __all__ = [
@@ -36,7 +35,7 @@ __all__ = [
     "ReplayError", "apply_congruence", "apply_enlargement", "apply_move",
     "apply_reduction", "commute_reduction_congruence", "find_reductions",
     "good_basis_form_check", "normalize_sequence", "reduce_to_null",
-    "replace_min_by_max", "s_equivalent_bounded",
+    "replace_min_by_max",
 ]
 
 __version__ = "0.1.0"

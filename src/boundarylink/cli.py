@@ -35,6 +35,13 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_matrix(path: str) -> seifert.SeifertMatrix:
     try:
         return seifert.SeifertMatrix.from_json(_read_text(path))
@@ -78,7 +85,7 @@ def cmd_reduce(args) -> int:
     if result.found:
         text = smoves.moves_to_json(result.sequence.moves)
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_text(args.out, text + "\n")
         print(f"reduced to the null matrix in {len(result.sequence.moves)} "
               f"reductions ({result.nodes} nodes)")
         if not args.out:
@@ -134,7 +141,7 @@ def cmd_normalize(args) -> int:
         return EX_FAILED
     text = smoves.moves_to_json(seq.moves)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(args.out, text + "\n")
         print(f"wrote {len(seq.moves)} moves to {args.out}")
     else:
         print(text)
@@ -154,7 +161,7 @@ def cmd_mu(args) -> int:
     diagram = _load_diagram(args.diagram)
     index = _parse_index(args.index)
     try:
-        value, indet = milnor.mu_bar(diagram, index, depth=args.depth)
+        value, indet = milnor.mu_bar(diagram, index)
     except seifert.StructureError as exc:
         raise UsageError(str(exc)) from exc
     print(json.dumps({"index": list(index), "value": value,
@@ -164,7 +171,7 @@ def cmd_mu(args) -> int:
 
 def cmd_ht(args) -> int:
     diagram = _load_diagram(args.diagram)
-    verdict, table = milnor.is_homotopically_trivial(diagram, depth=args.depth)
+    verdict, table = milnor.is_homotopically_trivial(diagram)
     print(table.to_json())
     print("homotopically trivial" if verdict else "not homotopically trivial")
     return EX_OK if verdict else EX_FAILED
@@ -175,7 +182,7 @@ def cmd_htplus(args) -> int:
     sublink = tuple(s for s in args.sublink.split(",") if s)
     try:
         pair = milnor.PairedLink(diagram, sublink)
-        verdict, results = milnor.is_ht_plus_pair(pair, depth=args.depth)
+        verdict, results = milnor.is_ht_plus_pair(pair)
     except seifert.StructureError as exc:
         raise UsageError(str(exc)) from exc
     for label in sorted(results):
@@ -198,7 +205,7 @@ def _parse_derived(pairs: list[str]) -> dict[str, dg.LinkDiagram]:
 def _finish_certificate(cert: milnor.Certificate, out: str | None) -> int:
     text = cert.to_json()
     if out:
-        Path(out).write_text(text + "\n")
+        _write_text(out, text + "\n")
     print(text)
     if cert.verdict == "certified-freely-slice":
         return EX_OK
@@ -213,7 +220,7 @@ def cmd_certify(args) -> int:
         print("input matrix is not a valid boundary-link Seifert matrix")
         return EX_FAILED
     derived = _parse_derived(args.derived)
-    cert = milnor.certify_theorem_A(matrix, derived, depth=args.depth)
+    cert = milnor.certify_theorem_A(matrix, derived)
     return _finish_certificate(cert, args.out)
 
 
@@ -226,11 +233,14 @@ def cmd_lbeta(args) -> int:
         return EX_FAILED
     outdir = Path(args.outdir) if args.outdir else None
     if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "matrix.json").write_text(matrix.to_json() + "\n")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create {outdir}: {exc}") from exc
+        _write_text(outdir / "matrix.json", matrix.to_json() + "\n")
         for name, d in sorted(derived.items()):
-            (outdir / f"{name}.json").write_text(d.to_json() + "\n")
-    cert = milnor.certify_theorem_A(matrix, derived, depth=args.depth)
+            _write_text(outdir / f"{name}.json", d.to_json() + "\n")
+    cert = milnor.certify_theorem_A(matrix, derived)
     out = str(outdir / "certificate.json") if outdir else None
     return _finish_certificate(cert, out)
 
@@ -247,7 +257,7 @@ def cmd_catalog(args) -> int:
     except seifert.StructureError as exc:
         raise UsageError(str(exc)) from exc
     if args.out:
-        Path(args.out).write_text(payload)
+        _write_text(args.out, payload)
         print(f"wrote {args.name} to {args.out}")
     else:
         print(payload, end="")
@@ -292,33 +302,28 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("diagram")
     q.add_argument("--index", required=True,
                    help="component indices, e.g. 123 or 1,2,3")
-    q.add_argument("--depth", type=int, default=None)
     q.set_defaults(func=cmd_mu)
 
     q = sub.add_parser("ht", help="link-homotopy triviality test")
     q.add_argument("diagram")
-    q.add_argument("--depth", type=int, default=None)
     q.set_defaults(func=cmd_ht)
 
     q = sub.add_parser("htplus", help="homotopically trivial+ pair test")
     q.add_argument("diagram")
     q.add_argument("--sublink", required=True,
                    help="comma-separated component labels forming K")
-    q.add_argument("--depth", type=int, default=None)
     q.set_defaults(func=cmd_htplus)
 
     q = sub.add_parser("certify", help="verify the freely-slice hypotheses")
     q.add_argument("matrix")
     q.add_argument("--derived", nargs="+", default=[],
                    help="name=diagram-file pairs (a1=..., b1=..., ...)")
-    q.add_argument("--depth", type=int, default=None)
     q.add_argument("--out")
     q.set_defaults(func=cmd_certify)
 
     q = sub.add_parser("lbeta", help="build and certify the doubled link of a "
                                      "2-strand string link")
     q.add_argument("beta")
-    q.add_argument("--depth", type=int, default=None)
     q.add_argument("--outdir")
     q.set_defaults(func=cmd_lbeta)
 

@@ -72,12 +72,6 @@ class LinkDiagram:
     def n(self) -> int:
         return len(self.strands)
 
-    def strand_label(self, s: int) -> str:
-        for label, ss in self.components:
-            if s in ss:
-                return label
-        raise StructureError(f"strand {s} has no label")
-
     def label_strands(self, label: str) -> tuple[int, ...]:
         for l, ss in self.components:
             if l == label:

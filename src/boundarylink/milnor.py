@@ -75,15 +75,16 @@ def _sub_indices(index: Index) -> dict[Index, tuple[Index, ...]]:
     return subs
 
 
-def mu_bar(d: LinkDiagram, index: Index, depth: int | None = None) -> tuple[int, int]:
+def mu_bar(d: LinkDiagram, index: Index) -> tuple[int, int]:
     """(value, indeterminacy) of mu-bar; indeterminacy 0 means exact.
 
     Each component the recursion reads is expanded once: truncated at the
     largest cap any of its indices needs, in the full ring only if one of its
-    monomials repeats a variable, from longitude words at depth cap + 1 (or
-    `depth`, if larger).  Every index reads its coefficient off that one
-    series; truncation and passing to the reduced ring are ring maps, so the
-    coefficients equal those of a separate expansion per cap and ring.
+    monomials repeats a variable, from its longitude word after cap + 1
+    Wirtinger sweeps, which is exact through degree cap (Milnor).  Every
+    index reads its coefficient off that one series; truncation and passing
+    to the reduced ring are ring maps, so the coefficients equal those of a
+    separate expansion per cap and ring.
     """
     index = tuple(int(j) for j in index)
     if d.kind != "closed":
@@ -93,18 +94,14 @@ def mu_bar(d: LinkDiagram, index: Index, depth: int | None = None) -> tuple[int,
     for j in index:
         if not (1 <= j <= d.n):
             raise StructureError(f"component {j} out of range")
-    if depth is not None and depth < len(index):
-        raise StructureError(f"depth {depth} below index length {len(index)}")
     subs = _sub_indices(index)
     caps: dict[int, tuple[int, bool]] = {}
     for i in subs:
         cap, full = caps.get(i[-1], (1, False))
         caps[i[-1]] = (max(cap, len(i) - 1),
                        full or len(set(i[:-1])) < len(i) - 1)
-    floor = depth or 2
     longs = dg.wirtinger_longitudes(d, tuple(
-        max(floor, caps[c][0] + 1) if c in caps else floor
-        for c in range(1, d.n + 1)))
+        caps[c][0] + 1 if c in caps else 2 for c in range(1, d.n + 1)))
     series = {c: magnus_expand(longs[c - 1], d.n, cap, not full).as_dict()
               for c, (cap, full) in caps.items()}
     values: dict[Index, tuple[int, int]] = {}
@@ -131,23 +128,20 @@ def _nonrepeating_indices(m: int, length: int):
     yield from build(())
 
 
-def is_homotopically_trivial(d: LinkDiagram,
-                             depth: int | None = None) -> tuple[bool, MuTable]:
-    """Vanishing of all non-repeating mu-bar of length 2..n, with the table."""
+def is_homotopically_trivial(d: LinkDiagram) -> tuple[bool, MuTable]:
+    """Vanishing of all non-repeating mu-bar of length 2..n, with the table.
+
+    The longitude words are built once, after n Wirtinger sweeps, which is
+    exact for every index of length up to n (Milnor)."""
     if d.kind != "closed":
         raise StructureError("homotopy test needs a closed diagram")
     m = d.n
-    if depth is None:
-        depth = max(m, 2)
-    longs: dict[int, list[dg.Word]] = {}
+    longs = dg.wirtinger_longitudes(d, m) if m > 1 else []
     entries: list[tuple[Index, tuple[int, int]]] = []
     trivial_so_far = True
     for length in range(2, m + 1):
-        at = max(depth, length)
-        if at not in longs:
-            longs[at] = dg.wirtinger_longitudes(d, at)
         series = {c: magnus_expand(w, m, length - 1).as_dict()
-                  for c, w in enumerate(longs[at], 1)}
+                  for c, w in enumerate(longs, 1)}
         for i in _nonrepeating_indices(m, length):
             value = _raw_mu(series, i)
             # lower-order invariants all vanish, so the value is exact
@@ -159,7 +153,7 @@ def is_homotopically_trivial(d: LinkDiagram,
     return trivial_so_far, MuTable(tuple(entries))
 
 
-def is_ht_plus_pair(p: PairedLink, depth: int | None = None
+def is_ht_plus_pair(p: PairedLink
                     ) -> tuple[bool, dict[str, tuple[bool, MuTable]]]:
     """Definition: K with the zero-framed parallel of each J_i is
     homotopically trivial, for every component J_i of J."""
@@ -174,7 +168,7 @@ def is_ht_plus_pair(p: PairedLink, depth: int | None = None
         copy_label = next(l for l, _ in with_copy.components if l not in old)
         keep = sorted(set(p.sublink) | {copy_label})
         tested = dg.delete_components(with_copy, keep)
-        verdict, table = is_homotopically_trivial(tested, depth)
+        verdict, table = is_homotopically_trivial(tested)
         results[label] = (verdict, table)
         ok = ok and verdict
     return ok, results
@@ -216,8 +210,7 @@ def _sha256(text: str) -> str:
 
 
 def certify_theorem_A(matrix: SeifertMatrix,
-                      derived: dict[str, LinkDiagram],
-                      depth: int | None = None) -> Certificate:
+                      derived: dict[str, LinkDiagram]) -> Certificate:
     """Verify the certifier hypotheses: good-basis form plus homotopy
     triviality of every derived link.  A certificate never asserts more than
     that these hypotheses hold for the supplied combinatorial data."""
@@ -249,7 +242,7 @@ def certify_theorem_A(matrix: SeifertMatrix,
 
     failed = False
     for name in names:
-        verdict, table = is_homotopically_trivial(derived[name], depth)
+        verdict, table = is_homotopically_trivial(derived[name])
         witness = ""
         if not verdict:
             bad = [(i, v) for i, (v, _) in table.entries if v != 0]

@@ -10,16 +10,15 @@ Moves on boundary-link Seifert matrices:
     `swapped` flag for the transposed row order);
   * reduction: the inverse of an enlargement, located by exact pattern scan.
 
-Everything here is exact integer arithmetic on immutable values.  The two
-searches (reduce_to_null, s_equivalent_bounded) are bounded and report an
-honest "inconclusive" when the budget runs out.
+Everything here is exact integer arithmetic on immutable values.  The one
+search, reduce_to_null, is bounded and reports an honest "inconclusive" when
+its node budget runs out.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product as iterproduct
 from typing import Iterable, Optional
 
 from . import intmat
@@ -64,9 +63,6 @@ class Congruence:
     @staticmethod
     def identity(matrix: SeifertMatrix) -> "Congruence":
         return Congruence(tuple(intmat.identity(b) for b in matrix.block_sizes))
-
-    def is_identity(self) -> bool:
-        return all(p == intmat.identity(len(p)) for p in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def apply_move(a: SeifertMatrix, mv: SMove) -> SeifertMatrix:
 
 
 # ---------------------------------------------------------------------------
-# bounded searches
+# bounded search
 
 
 @dataclass(frozen=True)
@@ -320,111 +316,6 @@ def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6,
     if path is not None:
         return SearchResult("found", MoveSequence(a, tuple(path)), nodes)
     return SearchResult("budget" if budget_hit else "exhausted", None, nodes)
-
-
-def _enlargement_neighbors(mat: SeifertMatrix, size_cap: int,
-                           magnitude: int) -> Iterable[Enlargement]:
-    if mat.side + 2 > size_cap:
-        return
-    for k in range(mat.m):
-        for eps in ((1, 0), (0, 1)):
-            spans = [range(-magnitude, magnitude + 1)] * mat.side
-            for flat in iterproduct(*spans):
-                rows = []
-                pos = 0
-                for i in range(mat.m):
-                    rows.append(tuple(flat[pos:pos + mat.block_sizes[i]]))
-                    pos += mat.block_sizes[i]
-                yield Enlargement(k=k, eps=eps, rows=tuple(rows))
-
-
-def s_equivalent_bounded(a: SeifertMatrix, b: SeifertMatrix,
-                         size_cap: int | None = None,
-                         node_budget: int = 10 ** 5,
-                         magnitude: int = 8) -> SearchResult:
-    """Bidirectional search for a move path from a to b.
-
-    The graph is restricted to matrices of side <= size_cap with entries of
-    absolute value <= magnitude; edges are enlargements and reductions.
-    Congruence edges form an infinite family and are not enumerated, so a
-    "budget"/"exhausted" answer means inconclusive, never "not S-equivalent".
-    """
-    if a.m != b.m:
-        raise ValueError("component counts differ")
-    if size_cap is None:
-        size_cap = max(a.side, b.side) + 4
-
-    def key(m: SeifertMatrix):
-        return (m.block_sizes, m.entries)
-
-    def entries_ok(m: SeifertMatrix) -> bool:
-        return all(abs(v) <= magnitude for row in m.entries for v in row)
-
-    # parents map: key -> (matrix, parent_key, move, direction)
-    fwd = {key(a): (a, None, None)}
-    bwd = {key(b): (b, None, None)}
-    frontier_f, frontier_b = [a], [b]
-    nodes = 0
-
-    def build_path(meet_key) -> MoveSequence:
-        moves_f = []
-        k = meet_key
-        while fwd[k][1] is not None:
-            mat, pk, mv = fwd[k]
-            moves_f.append(mv)
-            k = pk
-        moves_f.reverse()
-        # backward half: moves recorded from b; invert them onto the path a->b
-        moves_b = []
-        k = meet_key
-        while bwd[k][1] is not None:
-            mat, pk, mv = bwd[k]
-            parent = bwd[pk][0]
-            # mv transforms parent -> mat; we need mat -> parent
-            if isinstance(mv, Enlargement):
-                inv: SMove = Reduce(mv.k, mv.offset, mv.swapped)
-            elif isinstance(mv, Reduce):
-                inv = reduction_witness(parent, mv.k, mv.offset, mv.swapped)
-            else:
-                raise AssertionError("unexpected move type in search")
-            moves_b.append(inv)
-            k = pk
-        return MoveSequence(a, tuple(moves_f + moves_b))
-
-    if key(a) in bwd:
-        return SearchResult("found", MoveSequence(a, ()), 0)
-
-    while frontier_f or frontier_b:
-        # expand the smaller frontier, forward on ties, for determinism
-        expand_fwd = (len(frontier_f) <= len(frontier_b) and frontier_f) or not frontier_b
-        tree, other = (fwd, bwd) if expand_fwd else (bwd, fwd)
-        frontier = frontier_f if expand_fwd else frontier_b
-        nxt = []
-        for mat in frontier:
-            neighbors: list[tuple[SMove, SeifertMatrix]] = []
-            for wit in find_reductions(mat):
-                neighbors.append((Reduce(wit.k, wit.offset, wit.swapped),
-                                  apply_reduction(mat, wit)))
-            for wit in _enlargement_neighbors(mat, size_cap, magnitude):
-                neighbors.append((wit, apply_enlargement(mat, wit)))
-            for mv, nb in neighbors:
-                nodes += 1
-                if nodes > node_budget:
-                    return SearchResult("budget", None, nodes)
-                if not entries_ok(nb):
-                    continue
-                kk = key(nb)
-                if kk in tree:
-                    continue
-                tree[kk] = (nb, key(mat), mv)
-                if kk in other:
-                    return SearchResult("found", build_path(kk), nodes)
-                nxt.append(nb)
-        if expand_fwd:
-            frontier_f = nxt
-        else:
-            frontier_b = nxt
-    return SearchResult("exhausted", None, nodes)
 
 
 # ---------------------------------------------------------------------------

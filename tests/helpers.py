@@ -205,12 +205,18 @@ def mu_bar_per_cap(d, index: tuple[int, ...],
     depth (the index length unless given), and a separate Magnus expansion
     for each (component, cap, ring) the indeterminacy recursion reads, in
     the reduced ring exactly when the index does not repeat."""
+    return per_cap_oracle(d, len(index) if depth is None else depth)(
+        tuple(index))
+
+
+def per_cap_oracle(d, depth: int):
+    """mu_bar_per_cap at a fixed depth, as a function of the index that
+    keeps its longitude words, expansions and values across calls."""
     from math import gcd
 
     from boundarylink import diagrams as dg
     from boundarylink.magnus import magnus_expand
 
-    depth = len(index) if depth is None else depth
     longs = dg.wirtinger_longitudes(d, depth)
     expansions: dict = {}
     memo: dict = {}
@@ -233,4 +239,4 @@ def mu_bar_per_cap(d, index: tuple[int, ...],
             memo[i] = (value % indet if indet else value, indet)
         return memo[i]
 
-    return with_indet(tuple(index))
+    return with_indet

@@ -96,10 +96,12 @@ def test_mu(paths, capsys):
     assert cli.main(["mu", paths["hopf"], "--index", "12"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"index": [1, 2], "value": 1, "indeterminacy": 0}
-    assert cli.main(["mu", paths["whitehead"], "--index", "1,1,2,2",
-                     "--depth", "4"]) == 0
+    assert cli.main(["mu", paths["whitehead"], "--index", "1,1,2,2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["value"]) == 1
+    # the longitudes are exact for the index, so there is no depth to set
+    assert cli.main(["mu", paths["whitehead"], "--index", "1,1,2,2",
+                     "--depth", "4"]) == 64
 
 
 def test_mu_bad_index_usage(paths):
@@ -183,13 +185,39 @@ def _malformed(tmp_path, kind):
                                   "ragged-congruence", "entry:1.9",
                                   "entry:true", 'entry:"1"'])
 def test_malformed_document_is_usage_error(tmp_path, kind):
+    _assert_child_usage_error(_malformed(tmp_path, kind))
+
+
+def _assert_child_usage_error(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "boundarylink.cli", *_malformed(tmp_path, kind)],
+        [sys.executable, "-m", "boundarylink.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 64, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["catalog", "reduce", "normalize",
+                                     "certify", "lbeta"])
+def test_unwritable_output_is_usage_error(paths, command):
+    tmp = paths["tmp"]
+    matrix = paths["wh-double-matrix"]
+    nodir = tmp / "nodir"
+    if command == "catalog":
+        argv = ["catalog", "export", "beta", "--out", str(nodir / "x.json")]
+    elif command == "reduce":
+        argv = ["reduce", matrix, "--out", str(nodir / "m.json")]
+    elif command == "normalize":
+        assert cli.main(["reduce", matrix, "--out", str(tmp / "red.json")]) == 0
+        argv = ["normalize", matrix, str(tmp / "red.json"),
+                "--out", str(nodir / "n.json")]
+    elif command == "certify":
+        argv = ["certify", matrix, "--out", str(nodir / "c.json")]
+    else:
+        (tmp / "afile").write_text("")
+        argv = ["lbeta", paths["beta"], "--outdir", str(tmp / "afile" / "sub")]
+    _assert_child_usage_error(argv)
 
 
 def test_non_integer_move_entries_are_refused():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
-from helpers import mu_bar_per_cap
+from helpers import mu_bar_per_cap, per_cap_oracle
 
 
 def test_magnus_expand_basics():
@@ -66,21 +66,21 @@ def test_mu_borromean():
 def test_mu_whitehead():
     w = catalog.load("whitehead")
     assert milnor.mu_bar(w, (1, 2)) == (0, 0)
-    v, ind = milnor.mu_bar(w, (1, 1, 2, 2), depth=4)
+    v, ind = milnor.mu_bar(w, (1, 1, 2, 2))
     assert abs(v) == 1 and ind == 0
 
 
 def test_mu_unlink_all_zero():
     u = catalog.load("unlink2")
     for idx in ((1, 2), (2, 1), (1, 1, 2), (1, 2, 2), (1, 1, 2, 2)):
-        v, _ = milnor.mu_bar(u, idx, depth=4)
+        v, _ = milnor.mu_bar(u, idx)
         assert v == 0
 
 
 def test_mu_indeterminacy_borromean_length4():
     # with a nonzero triple invariant, length-4 values acquire indeterminacy
     b = catalog.load("borromean")
-    _, ind = milnor.mu_bar(b, (1, 2, 2, 3), depth=4)
+    _, ind = milnor.mu_bar(b, (1, 2, 2, 3))
     assert ind != 0
 
 
@@ -92,11 +92,16 @@ def test_mu_indeterminacy_includes_sub_index_indeterminacy():
     assert milnor.mu_bar(b, (3, 1, 2, 1, 1)) == (0, 1)
 
 
+A12, A23, A34 = (1, 1), (2, 2), (3, 3)      # Artin generators as braid words
+
+
+def _commutator(u, v):
+    return u + v + dg.invert_word(u) + dg.invert_word(v)
+
+
 def _oracle_links():
     _, derived = milnor.build_l_beta_bundle(catalog.load("beta"))
-    a12, a23 = (1, 1), (2, 2)                # Artin generators A_12, A_23
-    inner = a12 + a23 + dg.invert_word(a12) + dg.invert_word(a23)
-    commutator = inner + a12 + dg.invert_word(inner) + dg.invert_word(a12)
+    commutator = _commutator(_commutator(A12, A23), A12)
     links = {name: catalog.load(name)
              for name in ("whitehead", "borromean", "hopf")}
     links.update(a1=derived["a1"], b2=derived["b2"],
@@ -126,7 +131,32 @@ def test_mu_deeper_words_change_nothing():
     for d in _oracle_links().values():
         for length in (2, 3, 4):
             i = tuple(rng.randint(1, d.n) for _ in range(length))
-            assert milnor.mu_bar(d, i, depth=len(i) + 2) == milnor.mu_bar(d, i)
+            assert milnor.mu_bar(d, i) == mu_bar_per_cap(d, i, depth=len(i) + 2)
+
+
+def test_ht_table_matches_deeper_per_cap_oracle():
+    # every entry of the homotopy table, read after n sweeps, equals the
+    # per-cap oracle on words two sweeps deeper than its index needs
+    beta = catalog.load("beta")
+    links = {
+        "borromean": catalog.load("borromean"),
+        "cable22": dg.closure(dg.cable(beta, (2, 2))),
+        "cable23": dg.closure(dg.cable(beta, (2, 3))),
+        "pure3": _oracle_links()["commutator"],
+        "pure4": dg.closure(dg.braid(4, list(
+            _commutator(_commutator(A12, A23), A34)))),
+    }
+    lengths = set()
+    for name, d in links.items():
+        _, table = milnor.is_homotopically_trivial(d)
+        oracles = {}
+        for i, entry in table.entries:
+            if len(i) not in oracles:
+                oracles[len(i)] = per_cap_oracle(d, len(i) + 2)
+            assert entry == oracles[len(i)](i), (name, i)
+        lengths.add(max(oracles))
+    # the checks reach indices of length 4 and beyond
+    assert max(lengths) >= 4
 
 
 def test_mu_expands_each_component_once(monkeypatch):

@@ -131,22 +131,6 @@ def test_reduce_to_null_budget():
     assert res.inconclusive
 
 
-def test_s_equivalent_bounded_two_moves():
-    a = seifert.SeifertMatrix(1, (2,), ((0, 1), (0, 0)))
-    b = seifert.SeifertMatrix(1, (2,), ((0, 0), (1, 0)))
-    res = smoves.s_equivalent_bounded(a, b, size_cap=4)
-    assert res.found
-    seq = res.sequence
-    assert seq.start == a and seq.end == b
-    assert len(seq.moves) == 2
-
-
-def test_s_equivalent_bounded_identity():
-    a = seifert.whitehead_double_matrix(1, (1,))
-    res = smoves.s_equivalent_bounded(a, a, size_cap=4)
-    assert res.found and res.sequence.moves == ()
-
-
 # --- rearrangement lemmas ---------------------------------------------------
 
 def _random_min_shape(rng):
