@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/certified, 1 inconclusive (budget or missing data),
 2 negative mathematical verdict or invalid mathematical input, 64 usage or
-parse error.
+parse error, 70 internal error (an unexpected exception).
+
+Each subcommand imports the modules it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -11,17 +13,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import catalog as cat
-from . import diagrams as dg
-from . import milnor
 from . import seifert
-from . import smoves
+
+if TYPE_CHECKING:
+    from . import diagrams as dg, milnor, smoves
 
 EX_OK = 0
 EX_INCONCLUSIVE = 1
 EX_FAILED = 2
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -50,6 +53,8 @@ def _load_matrix(path: str) -> seifert.SeifertMatrix:
 
 
 def _load_diagram(path: str) -> dg.LinkDiagram:
+    from . import diagrams as dg
+
     try:
         return dg.LinkDiagram.from_json(_read_text(path))
     except seifert.StructureError as exc:
@@ -57,6 +62,8 @@ def _load_diagram(path: str) -> dg.LinkDiagram:
 
 
 def _load_moves(path: str) -> tuple[smoves.SMove, ...]:
+    from . import smoves
+
     try:
         return smoves.moves_from_json(_read_text(path))
     except (seifert.StructureError, KeyError, TypeError, ValueError) as exc:
@@ -76,6 +83,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import smoves
+
+    if args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
     matrix = _load_matrix(args.matrix)
     if not seifert.is_valid(matrix):
         print("input matrix is not a valid boundary-link Seifert matrix")
@@ -99,6 +110,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_goodbasis(args) -> int:
+    from . import smoves
+
     matrix = _load_matrix(args.matrix)
     if not seifert.is_valid(matrix):
         print("input matrix is not a valid boundary-link Seifert matrix")
@@ -118,6 +131,8 @@ def cmd_goodbasis(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import smoves
+
     matrix = _load_matrix(args.matrix)
     moves = _load_moves(args.moves)
     try:
@@ -132,6 +147,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import smoves
+
     matrix = _load_matrix(args.matrix)
     moves = _load_moves(args.moves)
     try:
@@ -158,6 +175,8 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def cmd_mu(args) -> int:
+    from . import milnor
+
     diagram = _load_diagram(args.diagram)
     index = _parse_index(args.index)
     try:
@@ -170,6 +189,8 @@ def cmd_mu(args) -> int:
 
 
 def cmd_ht(args) -> int:
+    from . import milnor
+
     diagram = _load_diagram(args.diagram)
     verdict, table = milnor.is_homotopically_trivial(diagram)
     print(table.to_json())
@@ -178,6 +199,8 @@ def cmd_ht(args) -> int:
 
 
 def cmd_htplus(args) -> int:
+    from . import milnor
+
     diagram = _load_diagram(args.diagram)
     sublink = tuple(s for s in args.sublink.split(",") if s)
     try:
@@ -215,6 +238,8 @@ def _finish_certificate(cert: milnor.Certificate, out: str | None) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import milnor
+
     matrix = _load_matrix(args.matrix)
     if not seifert.is_valid(matrix):
         print("input matrix is not a valid boundary-link Seifert matrix")
@@ -225,6 +250,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_lbeta(args) -> int:
+    from . import milnor
+
     beta = _load_diagram(args.beta)
     try:
         matrix, derived = milnor.build_l_beta_bundle(beta)
@@ -246,6 +273,8 @@ def cmd_lbeta(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat
+
     if args.action == "list":
         for e in cat.entries():
             print(f"{e.name:20s} {e.kind:8s} {e.description}")
@@ -349,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     except seifert.StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

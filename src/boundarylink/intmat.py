@@ -7,7 +7,6 @@ so the O(n^3)/O(n^4) algorithms below are more than fast enough.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -74,6 +73,8 @@ def is_unimodular(a: IntMatrix) -> bool:
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, exact over the integers."""
+    from fractions import Fraction
+
     n = len(a)
     if n == 0:
         return ()

@@ -10,7 +10,6 @@ each test happens at indeterminacy zero and the boolean verdict is exact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from math import gcd
@@ -20,7 +19,6 @@ from . import diagrams as dg
 from .diagrams import LinkDiagram
 from .magnus import Monomial, magnus_expand
 from .seifert import SeifertMatrix, StructureError
-from .smoves import _pair_coords, good_basis_form_check
 
 Index = tuple[int, ...]
 
@@ -176,6 +174,8 @@ def is_ht_plus_pair(p: PairedLink
 
 def star_entries_zero(a: SeifertMatrix) -> bool:
     """All entries outside the 2x2 diagonal pair corners vanish."""
+    from .smoves import _pair_coords
+
     pair_of = {}
     for p, (u, v) in enumerate(_pair_coords(a)):
         pair_of[u] = p
@@ -206,6 +206,8 @@ class Certificate:
 
 
 def _sha256(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -214,6 +216,8 @@ def certify_theorem_A(matrix: SeifertMatrix,
     """Verify the certifier hypotheses: good-basis form plus homotopy
     triviality of every derived link.  A certificate never asserts more than
     that these hypotheses hold for the supplied combinatorial data."""
+    from .smoves import good_basis_form_check
+
     checks: list[tuple[str, bool, str]] = []
     hashes = [("matrix", _sha256(matrix.to_json()))]
     for name in sorted(derived):

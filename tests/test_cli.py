@@ -65,6 +65,24 @@ def test_reduce_budget_inconclusive(paths):
     assert cli.main(["reduce", paths["wh-double-matrix"], "--budget", "1"]) == 1
 
 
+def test_negative_budget_is_usage_error(paths, capsys):
+    # a malformed argument is not a mathematical outcome; 0 stays a budget
+    assert cli.main(["reduce", paths["wh-double-matrix"], "--budget", "-5"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cli.main(["reduce", paths["wh-double-matrix"], "--budget", "0"]) == 1
+
+
+def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", boom)
+    assert cli.main(["validate", paths["wh-double-matrix"]]) == 70
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_goodbasis(paths, capsys):
     assert cli.main(["goodbasis", paths["wh-double-matrix"]]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -227,3 +245,35 @@ def test_non_integer_move_entries_are_refused():
                 '[{"move": "enlarge", "k": 0, "eps": [1, 0], "rows": [["1"]]}]'):
         with pytest.raises(seifert.StructureError):
             smoves.moves_from_json(doc)
+
+
+_LOADED = """
+import json, sys
+from boundarylink import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(
+    m for m in sys.modules if m.split(".")[0] == "boundarylink"),
+    "fractions": "fractions" in sys.modules,
+    "hashlib": "hashlib" in sys.modules}))
+"""
+
+
+def _loaded_by(argv):
+    """What a fresh interpreter has imported after one cli.main call."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_subcommands_import_only_what_they_run(paths):
+    doc = _loaded_by(["validate", paths["wh-double-matrix"]])
+    assert doc["code"] == 0
+    assert doc["modules"] == ["boundarylink", "boundarylink.cli",
+                              "boundarylink.intmat", "boundarylink.seifert"]
+    assert not doc["fractions"] and not doc["hashlib"]
+    doc = _loaded_by(["ht", paths["whitehead"]])
+    assert doc["code"] == 0
+    assert "boundarylink.smoves" not in doc["modules"]
+    assert "boundarylink.catalog" not in doc["modules"]
