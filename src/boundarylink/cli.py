@@ -91,8 +91,7 @@ def cmd_reduce(args) -> int:
     if not seifert.is_valid(matrix):
         print("input matrix is not a valid boundary-link Seifert matrix")
         return EX_FAILED
-    result = smoves.reduce_to_null(matrix, budget=args.budget,
-                                   front_only=args.front_only)
+    result = smoves.reduce_to_null(matrix, budget=args.budget)
     if result.found:
         text = smoves.moves_to_json(result.sequence.moves)
         if args.out:
@@ -179,10 +178,7 @@ def cmd_mu(args) -> int:
 
     diagram = _load_diagram(args.diagram)
     index = _parse_index(args.index)
-    try:
-        value, indet = milnor.mu_bar(diagram, index)
-    except seifert.StructureError as exc:
-        raise UsageError(str(exc)) from exc
+    value, indet = milnor.mu_bar(diagram, index)
     print(json.dumps({"index": list(index), "value": value,
                       "indeterminacy": indet}, separators=(", ", ": ")))
     return EX_OK
@@ -203,11 +199,8 @@ def cmd_htplus(args) -> int:
 
     diagram = _load_diagram(args.diagram)
     sublink = tuple(s for s in args.sublink.split(",") if s)
-    try:
-        pair = milnor.PairedLink(diagram, sublink)
-        verdict, results = milnor.is_ht_plus_pair(pair)
-    except seifert.StructureError as exc:
-        raise UsageError(str(exc)) from exc
+    pair = milnor.PairedLink(diagram, sublink)
+    verdict, results = milnor.is_ht_plus_pair(pair)
     for label in sorted(results):
         ok, _ = results[label]
         print(f"component {label}: {'trivial' if ok else 'NOT trivial'}")
@@ -281,10 +274,7 @@ def cmd_catalog(args) -> int:
         return EX_OK
     if not args.name:
         raise UsageError("catalog export needs an entry name")
-    try:
-        payload = cat.raw_payload(args.name)
-    except seifert.StructureError as exc:
-        raise UsageError(str(exc)) from exc
+    payload = cat.raw_payload(args.name)
     if args.out:
         _write_text(args.out, payload)
         print(f"wrote {args.name} to {args.out}")
@@ -307,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("reduce", help="search for a reduction path to null")
     q.add_argument("matrix")
     q.add_argument("--budget", type=int, default=10 ** 6)
-    q.add_argument("--front-only", action="store_true",
-                   help="only accept the front-of-block pattern")
     q.add_argument("--out")
     q.set_defaults(func=cmd_reduce)
 

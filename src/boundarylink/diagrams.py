@@ -119,6 +119,17 @@ def trivial(n: int) -> LinkDiagram:
     return LinkDiagram("string", tuple(() for _ in range(n)), ())
 
 
+def _cross(a: int, b: int, sign: int, crossings: list[Crossing],
+           passages) -> None:
+    """Append the crossing where strand a, left of strand b, passes over b
+    (sign > 0) or under it (sign < 0)."""
+    cid = len(crossings)
+    over, under = (a, b) if sign > 0 else (b, a)
+    crossings.append((over, under, 1 if sign > 0 else -1))
+    passages[over].append((cid, "o"))
+    passages[under].append((cid, "u"))
+
+
 def braid(n: int, word: list[int]) -> LinkDiagram:
     """String link of a braid word; letter +i is sigma_i, -i its inverse."""
     positions = list(range(n))
@@ -129,15 +140,7 @@ def braid(n: int, word: list[int]) -> LinkDiagram:
         if not (0 <= i < n - 1):
             raise StructureError(f"braid letter {letter} out of range")
         a, b = positions[i], positions[i + 1]
-        cid = len(crossings)
-        if letter > 0:
-            crossings.append((a, b, 1))
-            passages[a].append((cid, "o"))
-            passages[b].append((cid, "u"))
-        else:
-            crossings.append((b, a, -1))
-            passages[b].append((cid, "o"))
-            passages[a].append((cid, "u"))
+        _cross(a, b, letter, crossings, passages)
         positions[i], positions[i + 1] = b, a
     if positions != list(range(n)):
         raise StructureError("braid word is not a pure braid")
@@ -215,16 +218,8 @@ def _twist_block(copies: list[int], sign: int, turns: int,
     for _ in range(turns):
         for _rep in range(k):
             for i in range(k - 1):
-                a, b = copies[positions[i]], copies[positions[i + 1]]
-                cid = len(crossings)
-                if sign > 0:
-                    crossings.append((a, b, 1))
-                    passages[a].append((cid, "o"))
-                    passages[b].append((cid, "u"))
-                else:
-                    crossings.append((b, a, -1))
-                    passages[b].append((cid, "o"))
-                    passages[a].append((cid, "u"))
+                _cross(copies[positions[i]], copies[positions[i + 1]], sign,
+                       crossings, passages)
                 positions[i], positions[i + 1] = positions[i + 1], positions[i]
 
 

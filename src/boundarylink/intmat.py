@@ -20,11 +20,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int | None = None) -> IntMatrix:
-    m = n if m is None else m
-    return tuple((0,) * m for _ in range(n))
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     if not a:
         return ()

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
 
 from . import __version__
 from . import diagrams as dg
 from .diagrams import LinkDiagram
 from .magnus import Monomial, magnus_expand
-from .seifert import SeifertMatrix, StructureError
+from .seifert import SeifertMatrix, StructureError, decode_int
 
 Index = tuple[int, ...]
 
@@ -84,7 +85,7 @@ def mu_bar(d: LinkDiagram, index: Index) -> tuple[int, int]:
     to the reduced ring are ring maps, so the coefficients equal those of a
     separate expansion per cap and ring.
     """
-    index = tuple(int(j) for j in index)
+    index = tuple(decode_int(j, "index entry") for j in index)
     if d.kind != "closed":
         raise StructureError("mu-bar needs a closed diagram")
     if len(index) < 2:
@@ -115,17 +116,6 @@ def mu_bar(d: LinkDiagram, index: Index) -> tuple[int, int]:
     return values[index]
 
 
-def _nonrepeating_indices(m: int, length: int):
-    def build(prefix: tuple[int, ...]):
-        if len(prefix) == length:
-            yield prefix
-            return
-        for j in range(1, m + 1):
-            if j not in prefix:
-                yield from build(prefix + (j,))
-    yield from build(())
-
-
 def is_homotopically_trivial(d: LinkDiagram) -> tuple[bool, MuTable]:
     """Vanishing of all non-repeating mu-bar of length 2..n, with the table.
 
@@ -140,7 +130,7 @@ def is_homotopically_trivial(d: LinkDiagram) -> tuple[bool, MuTable]:
     for length in range(2, m + 1):
         series = {c: magnus_expand(w, m, length - 1).as_dict()
                   for c, w in enumerate(longs, 1)}
-        for i in _nonrepeating_indices(m, length):
+        for i in permutations(range(1, m + 1), length):
             value = _raw_mu(series, i)
             # lower-order invariants all vanish, so the value is exact
             entries.append((i, (value, 0)))

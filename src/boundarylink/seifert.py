@@ -136,21 +136,6 @@ def is_valid(matrix: SeifertMatrix) -> bool:
     return validate(matrix).valid
 
 
-def require_valid(matrix: SeifertMatrix) -> SeifertMatrix:
-    report = validate(matrix)
-    if not report.valid:
-        raise ValueError("invalid Seifert matrix: "
-                         + "; ".join(v.detail for v in report.violations))
-    return matrix
-
-
-def intersection_form(matrix: SeifertMatrix) -> list[IntMatrix]:
-    """Per-component list of A_ii - A_ii^T (unimodular antisymmetric blocks)."""
-    require_valid(matrix)
-    return [intmat.sub(matrix.block(i, i), intmat.transpose(matrix.block(i, i)))
-            for i in range(matrix.m)]
-
-
 def null_matrix(m: int) -> SeifertMatrix:
     return SeifertMatrix(m, (0,) * m, ())
 
@@ -163,7 +148,7 @@ def whitehead_double_matrix(m: int, eps: Sequence[int],
     component); `assignment` may instead place pair i on component
     assignment[i], with several pairs per component allowed.
     """
-    eps = tuple(int(e) for e in eps)
+    eps = tuple(decode_int(e, "clasp sign") for e in eps)
     if any(e not in (0, 1) for e in eps):
         raise ValueError("clasp signs must be 0 or 1")
     if assignment is None:
@@ -171,7 +156,7 @@ def whitehead_double_matrix(m: int, eps: Sequence[int],
             raise ValueError("default assignment needs one sign per component")
         assignment = tuple(range(m))
     else:
-        assignment = tuple(int(a) for a in assignment)
+        assignment = tuple(decode_int(a, "assignment") for a in assignment)
         if len(assignment) != len(eps):
             raise ValueError("assignment and eps lengths differ")
         if any(a < 0 or a >= m for a in assignment):

@@ -1,4 +1,4 @@
-"""The three S-equivalence moves, pattern search, and rearrangement lemmas.
+"""The three S-equivalence moves, pattern search, and the rearrangement lemma.
 
 Moves on boundary-link Seifert matrices:
 
@@ -207,22 +207,15 @@ def reduction_witness(b: SeifertMatrix, k: int, offset: int,
                        offset=offset, swapped=swapped)
 
 
-def find_reductions(b: SeifertMatrix, include_swapped: bool = True,
-                    front_only: bool = False) -> list[Enlargement]:
+def find_reductions(b: SeifertMatrix) -> list[Enlargement]:
     """Every position where b matches the enlargement pattern exactly.
 
-    Deterministic order: (component, offset, unswapped-first).  With
-    front_only, only the classical front-of-block unswapped pattern is
-    reported.
+    Deterministic order: (component, offset, unswapped-first).
     """
     out = []
     for k in range(b.m):
-        offsets = [0] if front_only else range(max(b.block_sizes[k] - 1, 0))
-        for off in offsets:
-            if off + 2 > b.block_sizes[k]:
-                continue
-            for swapped in ((False,) if front_only or not include_swapped
-                            else (False, True)):
+        for off in range(b.block_sizes[k] - 1):
+            for swapped in (False, True):
                 try:
                     out.append(reduction_witness(b, k, off, swapped))
                 except ReplayError:
@@ -277,8 +270,7 @@ class SearchResult:
         return self.status == "budget"
 
 
-def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6,
-                   front_only: bool = False) -> SearchResult:
+def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6) -> SearchResult:
     """Depth-first search for a pure reduction path to the null matrix.
 
     "exhausted" means the (finite) reduction graph below `a` was fully
@@ -300,7 +292,7 @@ def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6,
         if key in seen:
             return None
         seen.add(key)
-        for wit in find_reductions(mat, front_only=front_only):
+        for wit in find_reductions(mat):
             nodes += 1
             if nodes > budget:
                 budget_hit = True
@@ -319,7 +311,7 @@ def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6,
 
 
 # ---------------------------------------------------------------------------
-# rearrangement lemmas
+# rearrangement lemma and normalization
 
 
 def _embed_congruence(mat: SeifertMatrix, new_pairs: dict[int, list[int]],
@@ -408,29 +400,6 @@ def replace_min_by_max(a: SeifertMatrix, c: SeifertMatrix, c2: SeifertMatrix,
     if apply_enlargement(b, e_b) != apply_congruence(d, q):
         raise AssertionError("replace_min_by_max witnesses failed to replay")
     return MinMaxWitness(d=d, q=q, enlarge_a=e_d, enlarge_b=e_b)
-
-
-def commute_reduction_congruence(a: SeifertMatrix, red: Enlargement,
-                                 p: Congruence) -> tuple[Congruence, Enlargement]:
-    """Turn 'reduce then congruence' into 'congruence then reduce'.
-
-    `red` witnesses A as an enlargement of P^T B P.  Returns (Q, red') with
-    apply_reduction(apply_congruence(A, Q), red') == B exactly.
-    """
-    ptbp = apply_reduction(a, red)
-    if reduction_witness(a, red.k, red.offset, red.swapped) != red:
-        raise ReplayError("red does not match A")
-    p.check(ptbp)
-    p_inv = [intmat.inverse_unimodular(blk) for blk in p.blocks]
-    q = _embed_congruence(a, {red.k: [red.offset]}, tuple(p_inv))
-    rows = tuple(tuple(intmat.matmul((row,), p_inv[i])[0]) if row else ()
-                 for i, row in enumerate(red.rows))
-    red2 = Enlargement(k=red.k, eps=red.eps, rows=rows, offset=red.offset,
-                       swapped=red.swapped)
-    b = apply_congruence(ptbp, Congruence(tuple(p_inv)))
-    if apply_reduction(apply_congruence(a, q), red2) != b:
-        raise AssertionError("commuted witnesses failed to replay")
-    return q, red2
 
 
 def is_monotone(seq: MoveSequence) -> bool:

@@ -206,14 +206,20 @@ def test_malformed_document_is_usage_error(tmp_path, kind):
     _assert_child_usage_error(_malformed(tmp_path, kind))
 
 
-def _assert_child_usage_error(argv):
+def _assert_child_usage_error(argv, prefix="error: "):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "boundarylink.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 64, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(prefix)
+
+
+def test_removed_front_only_flag_is_usage_error(paths):
+    _assert_child_usage_error(
+        ["reduce", paths["wh-double-matrix"], "--front-only"],
+        prefix="usage: blcert")
 
 
 @pytest.mark.parametrize("command", ["catalog", "reduce", "normalize",

@@ -190,10 +190,9 @@ def test_longitudes_per_component_depth_is_a_snapshot():
 
 def test_mu_rejects_bad_index():
     h = catalog.load("hopf")
-    with pytest.raises(seifert.StructureError):
-        milnor.mu_bar(h, (1,))
-    with pytest.raises(seifert.StructureError):
-        milnor.mu_bar(h, (1, 3))
+    for index in ((1,), (1, 3), (1.9, 2), ("1", 2), (True, 2)):
+        with pytest.raises(seifert.StructureError):
+            milnor.mu_bar(h, index)
 
 
 def test_mu_table_json_stable():

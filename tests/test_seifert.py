@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarylink import intmat, seifert
+from boundarylink import seifert
 from helpers import rand_valid_matrix
 
 
@@ -29,6 +29,14 @@ def test_whitehead_double_matrix_eps_zero():
     mat = seifert.whitehead_double_matrix(1, (0,))
     assert mat.block(0, 0) == ((0, 0), (1, 0))
     assert seifert.is_valid(mat)
+
+
+def test_whitehead_double_matrix_refuses_non_integer_signs():
+    for eps in ((1.9,), ("1",), (True,)):
+        with pytest.raises(seifert.StructureError):
+            seifert.whitehead_double_matrix(1, eps)
+    with pytest.raises(seifert.StructureError):
+        seifert.whitehead_double_matrix(1, (1,), (0.0,))
 
 
 def test_validate_reports_offdiagonal_violation():
@@ -80,24 +88,9 @@ def test_from_json_rejects_garbage():
             json.dumps({"m": 1, "block_sizes": [2], "rows": [[0, 1]]}))
 
 
-def test_require_valid_raises():
-    bad = seifert.SeifertMatrix(m=1, block_sizes=(2,),
-                                entries=((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        seifert.require_valid(bad)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 62))
 def test_random_valid_generator_agrees_with_validate(seed):
     mat = rand_valid_matrix(random.Random(seed))
     rep = seifert.validate(mat)
     assert rep.valid and not rep.violations
-
-
-def test_intersection_form_unimodular():
-    rng = random.Random(3)
-    for _ in range(20):
-        mat = rand_valid_matrix(rng)
-        for blk in seifert.intersection_form(mat):
-            assert intmat.is_unimodular(blk)

@@ -160,18 +160,6 @@ def test_replace_min_by_max_random():
         assert back == b
 
 
-def test_commute_reduction_congruence_random():
-    rng = random.Random(22)
-    for _ in range(30):
-        c = rand_valid_matrix(rng, max_m=2, max_side=4, mag=2)
-        red = rand_enlargement(c, rng, mag=2)
-        a = smoves.apply_enlargement(c, red)
-        p = rand_congruence(c, rng)
-        q, red2 = smoves.commute_reduction_congruence(a, red, p)
-        b = smoves.apply_congruence(c, p.inverse())
-        assert smoves.apply_reduction(smoves.apply_congruence(a, q), red2) == b
-
-
 # --- normalization ----------------------------------------------------------
 
 def _random_sequence(rng, max_moves=6):
