@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .seifert import StructureError, decode_int, decode_int_rows, decode_ints
+from .seifert import (StructureError, decode_int, decode_int_rows, decode_ints,
+                      strict_int_rows, strict_ints)
 
 Passage = tuple[int, str]                 # (crossing id, "o" | "u")
 Crossing = tuple[int, int, int]           # (over strand, under strand, sign)
@@ -34,13 +35,14 @@ class LinkDiagram:
     def __post_init__(self):
         if self.kind not in ("string", "closed"):
             raise StructureError(f"unknown diagram kind: {self.kind!r}")
-        strands = tuple(tuple((int(c), r) for c, r in s) for s in self.strands)
-        crossings = tuple(tuple(int(v) for v in c) for c in self.crossings)
+        strands = tuple(tuple(map(tuple, s)) for s in self.strands)
+        crossings = strict_int_rows(self.crossings, "crossing")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "crossings", crossings)
         comps = self.components or tuple(
             (str(i + 1), (i,)) for i in range(len(strands)))
-        comps = tuple(sorted((str(l), tuple(sorted(ss))) for l, ss in comps))
+        comps = tuple(sorted((str(l), tuple(sorted(
+            strict_ints(ss, "component strands")))) for l, ss in comps))
         object.__setattr__(self, "components", comps)
         self._check()
 
@@ -50,6 +52,9 @@ class LinkDiagram:
             for cid, role in passages:
                 if role not in ("o", "u"):
                     raise StructureError(f"bad passage role {role!r}")
+                if type(cid) is not int:
+                    raise StructureError(
+                        f"crossing id must be an integer, got {cid!r}")
                 if not (0 <= cid < len(self.crossings)):
                     raise StructureError(f"passage references crossing {cid}")
                 key = (cid, role)

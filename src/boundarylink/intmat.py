@@ -13,7 +13,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    """rows as a tuple of tuples, entries as they stand (never coerced)."""
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> IntMatrix:

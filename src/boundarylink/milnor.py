@@ -31,10 +31,14 @@ class PairedLink:
 
     def __post_init__(self):
         object.__setattr__(self, "sublink", tuple(self.sublink))
+        if not self.sublink:
+            raise StructureError("sublink must name at least one component")
         labels = {l for l, _ in self.diagram.components}
-        for l in self.sublink:
+        for k, l in enumerate(self.sublink):
             if l not in labels:
                 raise StructureError(f"sublink label {l!r} not in diagram")
+            if l in self.sublink[:k]:
+                raise StructureError(f"sublink repeats label {l!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,14 @@ def _raw_mu(series: dict[int, dict[Monomial, int]], i: Index) -> int:
     """mu(I) before indeterminacy: the coefficient of X_{I[0]}..X_{I[-2]} in
     the expansion of the longitude of component I[-1]."""
     return series[i[-1]].get(i[:-1], 0)
+
+
+def _without_meridian(w: dg.Word, c: int) -> dg.Word:
+    """w under x_c -> 1: every letter +-c deleted, then freely reduced.
+
+    X_c -> 0 is a ring map of the truncated and of the reduced Magnus ring,
+    so every coefficient of a monomial without X_c is that of w itself."""
+    return dg.reduce_word(tuple(l for l in w if l != c and l != -c))
 
 
 def _sub_indices(index: Index) -> dict[Index, tuple[Index, ...]]:
@@ -83,7 +95,9 @@ def mu_bar(d: LinkDiagram, index: Index) -> tuple[int, int]:
     Wirtinger sweeps, which is exact through degree cap (Milnor).  Every
     index reads its coefficient off that one series; truncation and passing
     to the reduced ring are ring maps, so the coefficients equal those of a
-    separate expansion per cap and ring.
+    separate expansion per cap and ring.  X_c -> 0 is a ring map too: when
+    no index ending in c repeats c, no monomial read off c's longitude holds
+    X_c, so that longitude is expanded with its own meridian deleted.
     """
     index = tuple(decode_int(j, "index entry") for j in index)
     if d.kind != "closed":
@@ -101,7 +115,10 @@ def mu_bar(d: LinkDiagram, index: Index) -> tuple[int, int]:
                        full or len(set(i[:-1])) < len(i) - 1)
     longs = dg.wirtinger_longitudes(d, tuple(
         caps[c][0] + 1 if c in caps else 2 for c in range(1, d.n + 1)))
-    series = {c: magnus_expand(longs[c - 1], d.n, cap, not full).as_dict()
+    repeats_last = {i[-1] for i in subs if i[-1] in i[:-1]}
+    series = {c: magnus_expand(longs[c - 1] if c in repeats_last
+                               else _without_meridian(longs[c - 1], c),
+                               d.n, cap, not full).as_dict()
               for c, (cap, full) in caps.items()}
     values: dict[Index, tuple[int, int]] = {}
     for i in sorted(subs, key=len):
@@ -120,11 +137,14 @@ def is_homotopically_trivial(d: LinkDiagram) -> tuple[bool, MuTable]:
     """Vanishing of all non-repeating mu-bar of length 2..n, with the table.
 
     The longitude words are built once, after n Wirtinger sweeps, which is
-    exact for every index of length up to n (Milnor)."""
+    exact for every index of length up to n (Milnor).  A non-repeating index
+    ending in c reads a monomial without X_c, and X_c -> 0 is a ring map, so
+    each longitude is expanded with its own meridian deleted."""
     if d.kind != "closed":
         raise StructureError("homotopy test needs a closed diagram")
     m = d.n
     longs = dg.wirtinger_longitudes(d, m) if m > 1 else []
+    longs = [_without_meridian(w, c) for c, w in enumerate(longs, 1)]
     entries: list[tuple[Index, tuple[int, int]]] = []
     trivial_so_far = True
     for length in range(2, m + 1):

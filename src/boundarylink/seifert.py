@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import intmat
 from .intmat import IntMatrix
@@ -26,8 +27,11 @@ class SeifertMatrix:
     entries: IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
-        object.__setattr__(self, "entries", intmat.freeze(self.entries))
+        decode_int(self.m, "m")
+        object.__setattr__(self, "block_sizes",
+                           strict_ints(self.block_sizes, "block_sizes"))
+        object.__setattr__(self, "entries",
+                           strict_int_rows(self.entries, "matrix entry"))
         if self.m < 0:
             raise StructureError("component count must be non-negative")
         if len(self.block_sizes) != self.m:
@@ -84,13 +88,34 @@ def decode_int(value, what: str) -> int:
 def decode_ints(values, what: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise StructureError(f"{what} must be a list of integers")
-    return tuple(decode_int(v, what) for v in values)
+    return strict_ints(values, what)
 
 
 def decode_int_rows(rows, what: str) -> IntMatrix:
     if not isinstance(rows, list):
         raise StructureError(f"{what} must be a list of integer lists")
     return tuple(decode_ints(r, what) for r in rows)
+
+
+_INT = {int}
+
+
+def strict_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple, each of type exactly int, for value constructors:
+    a float, a boolean or a string is refused, never truncated or coerced."""
+    out = tuple(values)
+    if not _INT.issuperset(map(type, out)):
+        for v in out:
+            decode_int(v, what)
+    return out
+
+
+def strict_int_rows(rows: Iterable[Iterable], what: str) -> IntMatrix:
+    out = intmat.freeze(rows)
+    if not _INT.issuperset(map(type, chain.from_iterable(out))):
+        for row in out:
+            strict_ints(row, what)
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from typing import Iterable, Optional
 from . import intmat
 from .intmat import IntMatrix
 from .seifert import (SeifertMatrix, StructureError, decode_int, decode_int_rows,
-                      decode_ints, is_valid, null_matrix)
+                      decode_ints, is_valid, null_matrix, strict_int_rows,
+                      strict_ints)
 
 
 class ReplayError(ValueError):
@@ -41,7 +42,8 @@ class Congruence:
     blocks: tuple[IntMatrix, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(intmat.freeze(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(
+            strict_int_rows(b, "congruence block") for b in self.blocks))
 
     def check(self, matrix: SeifertMatrix) -> None:
         if len(self.blocks) != matrix.m:
@@ -82,8 +84,11 @@ class Enlargement:
     swapped: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(int(e) for e in self.eps))
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in r) for r in self.rows))
+        decode_int(self.k, "k")
+        decode_int(self.offset, "offset")
+        object.__setattr__(self, "eps", strict_ints(self.eps, "eps"))
+        object.__setattr__(self, "rows",
+                           strict_int_rows(self.rows, "enlargement row"))
         if self.eps not in ((1, 0), (0, 1)):
             raise ValueError("(eps, eps') must be (1,0) or (0,1)")
 

@@ -216,6 +216,12 @@ def _assert_child_usage_error(argv, prefix="error: "):
     assert proc.stderr.startswith(prefix)
 
 
+@pytest.mark.parametrize("sublink", [",", "", "1,1"])
+def test_htplus_refuses_empty_or_repeated_sublink(paths, sublink):
+    _assert_child_usage_error(
+        ["htplus", paths["whitehead"], "--sublink", sublink])
+
+
 def test_removed_front_only_flag_is_usage_error(paths):
     _assert_child_usage_error(
         ["reduce", paths["wh-double-matrix"], "--front-only"],

@@ -139,3 +139,22 @@ def test_longitude_nullhomologous():
         d = catalog.load(name)
         for i, w in enumerate(dg.wirtinger_longitudes(d, depth=3)):
             assert dg.exponent_sum(w, i + 1) == 0
+
+
+def test_diagram_refuses_non_integer_values():
+    # the Hopf link's two crossings, one value at a time made a float, a
+    # boolean or a string that int() would have accepted
+    strands = (((0, "o"), (1, "u")), ((0, "u"), (1, "o")))
+    crossings = ((0, 1, 1), (1, 0, 1))
+    assert dg.LinkDiagram("closed", strands, crossings) == hopf()
+    for bad_crossings in (((0, 1, 1.0), (1, 0, 1)), ((0, 1, 1), (1, 0, True)),
+                          ((0.0, 1, 1), (1, 0, 1)), ((0, "1", 1), (1, 0, 1))):
+        with pytest.raises(dg.StructureError):
+            dg.LinkDiagram("closed", strands, bad_crossings)
+    for bad_strands in ((((0.0, "o"), (1, "u")), ((0, "u"), (1, "o"))),
+                        (((0, "o"), (1, "u")), ((0, "u"), (True, "o")))):
+        with pytest.raises(dg.StructureError):
+            dg.LinkDiagram("closed", bad_strands, crossings)
+    with pytest.raises(dg.StructureError):
+        dg.LinkDiagram("closed", strands, crossings,
+                       (("1", (0.0,)), ("2", (1,))))

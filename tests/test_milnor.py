@@ -1,10 +1,14 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
 from helpers import mu_bar_per_cap, per_cap_oracle
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_magnus_expand_basics():
@@ -34,6 +38,27 @@ def test_magnus_reduced_drops_repeats():
     s = magnus.magnus_expand((1, 1, 2), 2, 3, reduced=True)
     assert s.coefficient((1, 1)) == 0
     assert s.coefficient((1, 2)) == 2
+
+
+@st.composite
+def _word_and_meridian(draw):
+    m = draw(st.integers(1, 5))
+    letters = st.integers(1, m).flatmap(lambda i: st.sampled_from((i, -i)))
+    return (draw(st.lists(letters, max_size=24).map(tuple)), m,
+            draw(st.integers(1, m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_word_and_meridian(), st.integers(1, 4), st.booleans())
+def test_deleting_a_meridian_keeps_monomials_without_it(wmc, cap, reduced):
+    # x_c -> 1 is a group map and X_c -> 0 a ring map of the truncated and
+    # the reduced ring: the expansion of w with +-c deleted is that of w
+    # with every monomial holding X_c dropped
+    w, m, c = wmc
+    full = magnus.magnus_expand(w, m, cap, reduced).as_dict()
+    cut = magnus.magnus_expand(milnor._without_meridian(w, c), m, cap,
+                               reduced).as_dict()
+    assert cut == {k: v for k, v in full.items() if c not in k}
 
 
 def test_magnus_rejects_bad_letters():
@@ -92,7 +117,7 @@ def test_mu_indeterminacy_includes_sub_index_indeterminacy():
     assert milnor.mu_bar(b, (3, 1, 2, 1, 1)) == (0, 1)
 
 
-A12, A23, A34 = (1, 1), (2, 2), (3, 3)      # Artin generators as braid words
+A12, A23, A34, A45 = (1, 1), (2, 2), (3, 3), (4, 4)   # Artin generators
 
 
 def _commutator(u, v):
@@ -210,6 +235,18 @@ def test_homotopy_verdicts():
     assert not milnor.is_homotopically_trivial(catalog.load("borromean"))[0]
     assert not milnor.is_homotopically_trivial(catalog.load("hopf"))[0]
     assert milnor.is_homotopically_trivial(catalog.load("unlink2"))[0]
+
+
+def test_ht_table_of_five_component_closure_is_pinned():
+    # the closure of [[A12, A23], [A34, A45]]: 32 crossings, 320 entries of
+    # which 40 are nonzero; longitude words from two sweeps get 16 wrong
+    word = _commutator(_commutator(A12, A23), _commutator(A34, A45))
+    d = dg.closure(dg.braid(5, list(word)))
+    assert len(d.crossings) == 32
+    verdict, table = milnor.is_homotopically_trivial(d)
+    assert not verdict
+    assert table.to_json() + "\n" == \
+        (DATA / "ht-pure5-table.json").read_text()
 
 
 def test_homotopy_witness_is_first_failure():

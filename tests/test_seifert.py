@@ -94,3 +94,16 @@ def test_random_valid_generator_agrees_with_validate(seed):
     mat = rand_valid_matrix(random.Random(seed))
     rep = seifert.validate(mat)
     assert rep.valid and not rep.violations
+
+
+def test_constructor_refuses_non_integer_values():
+    # int() would truncate these to a valid-looking matrix
+    for m, sizes, entries in ((1, (2.0,), ((0, 1), (0, 0))),
+                              (1, (2,), ((0, 1.9), (0, 0))),
+                              (1, (2,), ((0, True), (0, 0))),
+                              (1, (2,), ((0, "1"), (0, 0))),
+                              (1.0, (2,), ((0, 1), (0, 0)))):
+        with pytest.raises(seifert.StructureError):
+            seifert.SeifertMatrix(m, sizes, entries)
+    ok = seifert.SeifertMatrix(1, [2], [[0, 1], [0, 0]])
+    assert ok.block_sizes == (2,) and ok.entries == ((0, 1), (0, 0))

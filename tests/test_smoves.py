@@ -289,3 +289,24 @@ def test_enlarge_reduce_round_trip_property(seed):
     # the witness can be rediscovered from the enlarged matrix alone
     w = smoves.reduction_witness(b, e.k, e.offset, e.swapped)
     assert smoves.apply_reduction(b, w) == a
+
+
+def test_congruence_refuses_non_integer_entries():
+    for block in (((1.0, 0), (0, 1)), ((1, 0), (0, True)),
+                  ((1, 0), ("0", 1))):
+        with pytest.raises(seifert.StructureError):
+            smoves.Congruence((block,))
+    assert smoves.Congruence(([[1, 0], [0, 1]],)).blocks == (((1, 0), (0, 1)),)
+
+
+def test_enlargement_refuses_non_integer_values():
+    # int() would turn eps (1.0, 0) and row (2.7, 0) into (1, 0) and (2, 0)
+    for kwargs in (dict(eps=(1.0, 0), rows=((2, 0),)),
+                   dict(eps=(1, 0), rows=((2.7, 0),)),
+                   dict(eps=(True, 0), rows=((2, 0),)),
+                   dict(eps=(1, 0), rows=((2, "0"),)),
+                   dict(eps=(1, 0), rows=((2, 0),), offset=0.0)):
+        with pytest.raises(seifert.StructureError):
+            smoves.Enlargement(k=0, **kwargs)
+    with pytest.raises(seifert.StructureError):
+        smoves.Enlargement(k=0.0, eps=(1, 0), rows=((2, 0),))
