@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .diagrams import LinkDiagram
-from .seifert import SeifertMatrix, StructureError
+from .seifert import Frozen, SeifertMatrix, StructureError, setfield
+
+if TYPE_CHECKING:
+    from .diagrams import LinkDiagram
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str                    # "matrix" | "diagram"
-    file: str
-    sha256: str
-    description: str
+class CatalogEntry(Frozen):
+    __slots__ = ("name", "kind", "file", "sha256", "description")
+
+    def __init__(self, name: str, kind: str, file: str, sha256: str,
+                 description: str):
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)               # "matrix" | "diagram"
+        setfield(self, "file", file)
+        setfield(self, "sha256", sha256)
+        setfield(self, "description", description)
 
 
 def _manifest() -> dict:
@@ -49,4 +54,6 @@ def load(name: str) -> SeifertMatrix | LinkDiagram:
     payload = raw_payload(name)
     if info["kind"] == "matrix":
         return SeifertMatrix.from_json(payload)
+    from .diagrams import LinkDiagram
+
     return LinkDiagram.from_json(payload)

@@ -4,7 +4,8 @@ Exit codes: 0 success/certified, 1 inconclusive (budget or missing data),
 2 negative mathematical verdict or invalid mathematical input, 64 usage or
 parse error, 70 internal error (an unexpected exception).
 
-Each subcommand imports the modules it runs, so a call loads only those.
+Each subcommand imports the modules it runs once it has read its input, so
+a call loads only those, and a call refused for its input loads fewer.
 """
 
 from __future__ import annotations
@@ -174,10 +175,10 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def cmd_mu(args) -> int:
-    from . import milnor
-
     diagram = _load_diagram(args.diagram)
     index = _parse_index(args.index)
+    from . import milnor
+
     value, indet = milnor.mu_bar(diagram, index)
     print(json.dumps({"index": list(index), "value": value,
                       "indeterminacy": indet}, separators=(", ", ": ")))
@@ -185,9 +186,9 @@ def cmd_mu(args) -> int:
 
 
 def cmd_ht(args) -> int:
+    diagram = _load_diagram(args.diagram)
     from . import milnor
 
-    diagram = _load_diagram(args.diagram)
     verdict, table = milnor.is_homotopically_trivial(diagram)
     print(table.to_json())
     print("homotopically trivial" if verdict else "not homotopically trivial")
@@ -195,10 +196,10 @@ def cmd_ht(args) -> int:
 
 
 def cmd_htplus(args) -> int:
-    from . import milnor
-
     diagram = _load_diagram(args.diagram)
     sublink = tuple(s for s in args.sublink.split(",") if s)
+    from . import milnor
+
     pair = milnor.PairedLink(diagram, sublink)
     verdict, results = milnor.is_ht_plus_pair(pair)
     for label in sorted(results):
@@ -231,21 +232,23 @@ def _finish_certificate(cert: milnor.Certificate, out: str | None) -> int:
 
 
 def cmd_certify(args) -> int:
-    from . import milnor
-
     matrix = _load_matrix(args.matrix)
     if not seifert.is_valid(matrix):
         print("input matrix is not a valid boundary-link Seifert matrix")
         return EX_FAILED
     derived = _parse_derived(args.derived)
+    from . import milnor
+
     cert = milnor.certify_theorem_A(matrix, derived)
     return _finish_certificate(cert, args.out)
 
 
 def cmd_lbeta(args) -> int:
+    beta = _load_diagram(args.beta)
+    if beta.kind != "string" or beta.n != 2:
+        raise UsageError(f"{args.beta}: beta must be a 2-strand string link")
     from . import milnor
 
-    beta = _load_diagram(args.beta)
     try:
         matrix, derived = milnor.build_l_beta_bundle(beta)
     except seifert.StructureError as exc:

@@ -15,35 +15,34 @@ Free-group words (meridians, longitudes) are tuples of nonzero ints: letter
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .seifert import (StructureError, decode_int, decode_int_rows, decode_ints,
-                      strict_int_rows, strict_ints)
+from .seifert import (Frozen, StructureError, decode_int, decode_int_rows,
+                      decode_ints, setfield, strict_int_rows, strict_ints)
 
 Passage = tuple[int, str]                 # (crossing id, "o" | "u")
 Crossing = tuple[int, int, int]           # (over strand, under strand, sign)
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    kind: str                             # "string" | "closed"
-    strands: tuple[tuple[Passage, ...], ...]
-    crossings: tuple[Crossing, ...]
-    components: tuple[tuple[str, tuple[int, ...]], ...] = ()
+class LinkDiagram(Frozen):
+    __slots__ = ("kind", "strands", "crossings", "components")
 
-    def __post_init__(self):
-        if self.kind not in ("string", "closed"):
-            raise StructureError(f"unknown diagram kind: {self.kind!r}")
-        strands = tuple(tuple(map(tuple, s)) for s in self.strands)
-        crossings = strict_int_rows(self.crossings, "crossing")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "crossings", crossings)
-        comps = self.components or tuple(
+    def __init__(self, kind: str,
+                 strands: tuple[tuple[Passage, ...], ...],
+                 crossings: tuple[Crossing, ...],
+                 components: tuple[tuple[str, tuple[int, ...]], ...] = ()):
+        if kind not in ("string", "closed"):
+            raise StructureError(f"unknown diagram kind: {kind!r}")
+        strands = tuple(tuple(map(tuple, s)) for s in strands)
+        crossings = strict_int_rows(crossings, "crossing")
+        comps = components or tuple(
             (str(i + 1), (i,)) for i in range(len(strands)))
         comps = tuple(sorted((str(l), tuple(sorted(
             strict_ints(ss, "component strands")))) for l, ss in comps))
-        object.__setattr__(self, "components", comps)
+        setfield(self, "kind", kind)      # "string" | "closed"
+        setfield(self, "strands", strands)
+        setfield(self, "crossings", crossings)
+        setfield(self, "components", comps)
         self._check()
 
     def _check(self) -> None:

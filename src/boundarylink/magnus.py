@@ -8,20 +8,21 @@ makes the ring finite — the right setting for non-repeating Milnor indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagrams import Word
-from .seifert import StructureError
+from .seifert import Frozen, StructureError, setfield
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MagnusSeries:
-    m: int
-    degree_cap: int
-    reduced: bool
-    coefficients: tuple[tuple[Monomial, int], ...]
+class MagnusSeries(Frozen):
+    __slots__ = ("m", "degree_cap", "reduced", "coefficients")
+
+    def __init__(self, m: int, degree_cap: int, reduced: bool,
+                 coefficients: tuple[tuple[Monomial, int], ...]):
+        setfield(self, "m", m)
+        setfield(self, "degree_cap", degree_cap)
+        setfield(self, "reduced", reduced)
+        setfield(self, "coefficients", coefficients)
 
     def coefficient(self, key: Monomial) -> int:
         return dict(self.coefficients).get(tuple(key), 0)

@@ -11,7 +11,6 @@ each test happens at indeterminacy zero and the boolean verdict is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
@@ -19,31 +18,33 @@ from . import __version__
 from . import diagrams as dg
 from .diagrams import LinkDiagram
 from .magnus import Monomial, magnus_expand
-from .seifert import SeifertMatrix, StructureError, decode_int
+from .seifert import Frozen, SeifertMatrix, StructureError, decode_int, setfield
 
 Index = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PairedLink:
-    diagram: LinkDiagram
-    sublink: tuple[str, ...]
+class PairedLink(Frozen):
+    __slots__ = ("diagram", "sublink")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sublink", tuple(self.sublink))
-        if not self.sublink:
+    def __init__(self, diagram: LinkDiagram, sublink: tuple[str, ...]):
+        sublink = tuple(sublink)
+        if not sublink:
             raise StructureError("sublink must name at least one component")
-        labels = {l for l, _ in self.diagram.components}
-        for k, l in enumerate(self.sublink):
+        labels = {l for l, _ in diagram.components}
+        for k, l in enumerate(sublink):
             if l not in labels:
                 raise StructureError(f"sublink label {l!r} not in diagram")
-            if l in self.sublink[:k]:
+            if l in sublink[:k]:
                 raise StructureError(f"sublink repeats label {l!r}")
+        setfield(self, "diagram", diagram)
+        setfield(self, "sublink", sublink)
 
 
-@dataclass(frozen=True)
-class MuTable:
-    entries: tuple[tuple[Index, tuple[int, int]], ...]
+class MuTable(Frozen):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Index, tuple[int, int]], ...]):
+        setfield(self, "entries", entries)
 
     def as_dict(self) -> dict[Index, tuple[int, int]]:
         return dict(self.entries)
@@ -197,12 +198,17 @@ def star_entries_zero(a: SeifertMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str                    # certified-freely-slice | hypothesis-failed | inconclusive
-    checks: tuple[tuple[str, bool, str], ...]
-    input_hashes: tuple[tuple[str, str], ...]
-    version: str = __version__
+class Certificate(Frozen):
+    __slots__ = ("verdict", "checks", "input_hashes", "version")
+
+    def __init__(self, verdict: str, checks: tuple[tuple[str, bool, str], ...],
+                 input_hashes: tuple[tuple[str, str], ...],
+                 version: str = __version__):
+        # verdict: certified-freely-slice | hypothesis-failed | inconclusive
+        setfield(self, "verdict", verdict)
+        setfield(self, "checks", checks)
+        setfield(self, "input_hashes", input_hashes)
+        setfield(self, "version", version)
 
     def to_json(self) -> str:
         doc = {

@@ -8,8 +8,8 @@ and A_ij = A_ji^T for i != j.  Matrices are immutable values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import intmat
@@ -20,29 +20,72 @@ class StructureError(ValueError):
     """Input is not even shaped like a partitioned square matrix."""
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    m: int
-    block_sizes: tuple[int, ...]
-    entries: IntMatrix
+setfield = object.__setattr__
 
-    def __post_init__(self):
-        decode_int(self.m, "m")
-        object.__setattr__(self, "block_sizes",
-                           strict_ints(self.block_sizes, "block_sizes"))
-        object.__setattr__(self, "entries",
-                           strict_int_rows(self.entries, "matrix entry"))
-        if self.m < 0:
+
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in `__slots__`, in the order of its
+    `__init__` parameters, and its `__init__` sets each field once with
+    `setfield(self, name, value)`.  Assigning or deleting a field afterwards
+    raises AttributeError.  Two values are equal when they are of the same
+    class with equal fields, and hash by their fields; repr is
+    `Name(field=value, ...)`; copy and pickle call the class again with the
+    field values, so a copy passes the same checks as the original.
+    """
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        key = attrgetter(*cls.__slots__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+
+class SeifertMatrix(Frozen):
+    __slots__ = ("m", "block_sizes", "entries")
+
+    def __init__(self, m: int, block_sizes: tuple[int, ...],
+                 entries: IntMatrix):
+        decode_int(m, "m")
+        block_sizes = strict_ints(block_sizes, "block_sizes")
+        entries = strict_int_rows(entries, "matrix entry")
+        if m < 0:
             raise StructureError("component count must be non-negative")
-        if len(self.block_sizes) != self.m:
+        if len(block_sizes) != m:
             raise StructureError(
-                f"expected {self.m} block sizes, got {len(self.block_sizes)}")
-        if any(b < 0 for b in self.block_sizes):
+                f"expected {m} block sizes, got {len(block_sizes)}")
+        if any(b < 0 for b in block_sizes):
             raise StructureError("block sizes must be non-negative")
-        n = sum(self.block_sizes)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        n = sum(block_sizes)
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise StructureError(
                 f"entries must be a {n}x{n} matrix matching the partition")
+        setfield(self, "m", m)
+        setfield(self, "block_sizes", block_sizes)
+        setfield(self, "entries", entries)
 
     @property
     def side(self) -> int:
@@ -118,17 +161,21 @@ def strict_int_rows(rows: Iterable[Iterable], what: str) -> IntMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    blocks: tuple[int, ...]
-    detail: str
+class Violation(Frozen):
+    __slots__ = ("rule", "blocks", "detail")
+
+    def __init__(self, rule: str, blocks: tuple[int, ...], detail: str):
+        setfield(self, "rule", rule)
+        setfield(self, "blocks", blocks)
+        setfield(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+class ValidationReport(Frozen):
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...] = ()):
+        setfield(self, "valid", valid)
+        setfield(self, "violations", violations)
 
 
 def validate(matrix: SeifertMatrix) -> ValidationReport:

@@ -18,14 +18,13 @@ its node budget runs out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import intmat
 from .intmat import IntMatrix
-from .seifert import (SeifertMatrix, StructureError, decode_int, decode_int_rows,
-                      decode_ints, is_valid, null_matrix, strict_int_rows,
-                      strict_ints)
+from .seifert import (Frozen, SeifertMatrix, StructureError, decode_int,
+                      decode_int_rows, decode_ints, is_valid, null_matrix,
+                      setfield, strict_int_rows, strict_ints)
 
 
 class ReplayError(ValueError):
@@ -36,14 +35,13 @@ class ReplayError(ValueError):
 # move types
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Frozen):
     """Blockwise basis change: one unimodular P_i per component."""
-    blocks: tuple[IntMatrix, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(
-            strict_int_rows(b, "congruence block") for b in self.blocks))
+    def __init__(self, blocks: tuple[IntMatrix, ...]):
+        setfield(self, "blocks", tuple(
+            strict_int_rows(b, "congruence block") for b in blocks))
 
     def check(self, matrix: SeifertMatrix) -> None:
         if len(self.blocks) != matrix.m:
@@ -67,8 +65,7 @@ class Congruence:
         return Congruence(tuple(intmat.identity(b) for b in matrix.block_sizes))
 
 
-@dataclass(frozen=True)
-class Enlargement:
+class Enlargement(Frozen):
     """Witness data for one S-enlargement on block k.
 
     `rows` holds one integer row vector per component, sized against the
@@ -77,20 +74,22 @@ class Enlargement:
     order (zero row second), which is the front pattern conjugated by the
     transposition congruence of the pair.
     """
-    k: int
-    eps: tuple[int, int]            # (eps, eps')
-    rows: tuple[tuple[int, ...], ...]
-    offset: int = 0
-    swapped: bool = False
+    __slots__ = ("k", "eps", "rows", "offset", "swapped")
 
-    def __post_init__(self):
-        decode_int(self.k, "k")
-        decode_int(self.offset, "offset")
-        object.__setattr__(self, "eps", strict_ints(self.eps, "eps"))
-        object.__setattr__(self, "rows",
-                           strict_int_rows(self.rows, "enlargement row"))
-        if self.eps not in ((1, 0), (0, 1)):
+    def __init__(self, k: int, eps: tuple[int, int],
+                 rows: tuple[tuple[int, ...], ...], offset: int = 0,
+                 swapped: bool = False):
+        decode_int(k, "k")
+        decode_int(offset, "offset")
+        eps = strict_ints(eps, "eps")
+        rows = strict_int_rows(rows, "enlargement row")
+        if eps not in ((1, 0), (0, 1)):
             raise ValueError("(eps, eps') must be (1,0) or (0,1)")
+        setfield(self, "k", k)
+        setfield(self, "eps", eps)            # (eps, eps')
+        setfield(self, "rows", rows)
+        setfield(self, "offset", offset)
+        setfield(self, "swapped", swapped)
 
     def check(self, matrix: SeifertMatrix) -> None:
         if not (0 <= self.k < matrix.m):
@@ -104,21 +103,25 @@ class Enlargement:
             raise ReplayError("enlargement offset outside block")
 
 
-@dataclass(frozen=True)
-class Reduce:
+class Reduce(Frozen):
     """Position of the reducible 2x2 pattern inside block k."""
-    k: int
-    offset: int
-    swapped: bool = False
+    __slots__ = ("k", "offset", "swapped")
+
+    def __init__(self, k: int, offset: int, swapped: bool = False):
+        setfield(self, "k", k)
+        setfield(self, "offset", offset)
+        setfield(self, "swapped", swapped)
 
 
 SMove = Congruence | Enlargement | Reduce
 
 
-@dataclass(frozen=True)
-class MoveSequence:
-    start: SeifertMatrix
-    moves: tuple[SMove, ...] = field(default_factory=tuple)
+class MoveSequence(Frozen):
+    __slots__ = ("start", "moves")
+
+    def __init__(self, start: SeifertMatrix, moves: tuple[SMove, ...] = ()):
+        setfield(self, "start", start)
+        setfield(self, "moves", moves)
 
     def replay(self) -> list[SeifertMatrix]:
         """All intermediate matrices, raising ReplayError on any mismatch."""
@@ -260,11 +263,14 @@ def apply_move(a: SeifertMatrix, mv: SMove) -> SeifertMatrix:
 # bounded search
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: str                      # "found" | "exhausted" | "budget"
-    sequence: Optional[MoveSequence] = None
-    nodes: int = 0
+class SearchResult(Frozen):
+    __slots__ = ("status", "sequence", "nodes")
+
+    def __init__(self, status: str, sequence: Optional[MoveSequence] = None,
+                 nodes: int = 0):
+        setfield(self, "status", status)   # "found" | "exhausted" | "budget"
+        setfield(self, "sequence", sequence)
+        setfield(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:
@@ -349,12 +355,17 @@ def _shift_rows(rows: tuple[tuple[int, ...], ...], comp: int,
     return tuple(new)
 
 
-@dataclass(frozen=True)
-class MinMaxWitness:
-    d: SeifertMatrix
-    q: Congruence
-    enlarge_a: Enlargement           # apply_enlargement(a, enlarge_a) == d
-    enlarge_b: Enlargement           # apply_enlargement(b, enlarge_b) == Q^T D Q
+class MinMaxWitness(Frozen):
+    __slots__ = ("d", "q", "enlarge_a", "enlarge_b")
+
+    def __init__(self, d: SeifertMatrix, q: Congruence,
+                 enlarge_a: Enlargement, enlarge_b: Enlargement):
+        setfield(self, "d", d)
+        setfield(self, "q", q)
+        # apply_enlargement(a, enlarge_a) == d and
+        # apply_enlargement(b, enlarge_b) == Q^T D Q
+        setfield(self, "enlarge_a", enlarge_a)
+        setfield(self, "enlarge_b", enlarge_b)
 
 
 def replace_min_by_max(a: SeifertMatrix, c: SeifertMatrix, c2: SeifertMatrix,
@@ -465,8 +476,7 @@ def _first_min(moves: list[SMove]) -> Optional[tuple[int, int]]:
 # good-basis staircase form
 
 
-@dataclass(frozen=True)
-class GoodBasisForm:
+class GoodBasisForm(Frozen):
     """A pair ordering putting a matrix in staircase form.
 
     ordering[t] is the pair occupying position t of the form; pairs are
@@ -474,9 +484,13 @@ class GoodBasisForm:
     (2p, 2p+1) of its block.  swaps[t] says the pair's two coordinates are
     taken in reversed order; signs[t] is the epsilon of its diagonal block.
     """
-    ordering: tuple[int, ...]
-    signs: tuple[int, ...]
-    swaps: tuple[bool, ...]
+    __slots__ = ("ordering", "signs", "swaps")
+
+    def __init__(self, ordering: tuple[int, ...], signs: tuple[int, ...],
+                 swaps: tuple[bool, ...]):
+        setfield(self, "ordering", ordering)
+        setfield(self, "signs", signs)
+        setfield(self, "swaps", swaps)
 
 
 def _pair_coords(a: SeifertMatrix) -> list[tuple[int, int]]:

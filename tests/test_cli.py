@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from boundarylink import catalog, cli, seifert, smoves
+from boundarylink import diagrams as dg
 
 ROOT = Path(__file__).parent.parent
 
@@ -147,6 +148,23 @@ def test_lbeta_certifies(paths, capsys):
         assert (outdir / f"{name}.json").exists()
 
 
+def test_lbeta_refuses_a_diagram_that_is_not_a_2_strand_string_link(
+        paths, capsys):
+    assert cli.main(["lbeta", paths["whitehead"]]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {paths['whitehead']}: "
+                   "beta must be a 2-strand string link\n")
+
+
+def test_lbeta_on_a_linked_closure_is_a_negative_verdict(paths, capsys):
+    p = paths["tmp"] / "linked.json"
+    p.write_text(dg.braid(2, [1, 1]).to_json())
+    assert cli.main(["lbeta", str(p)]) == 2
+    assert capsys.readouterr() == (
+        "closure of beta has linking number 1, not 0\n", "")
+
+
 def test_certify_inconclusive_without_derived(paths, capsys):
     assert cli.main(["certify", paths["wh-double-matrix"]]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -266,7 +284,7 @@ code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "modules": sorted(
     m for m in sys.modules if m.split(".")[0] == "boundarylink"),
     "fractions": "fractions" in sys.modules,
-    "hashlib": "hashlib" in sys.modules}))
+    "hashlib": "hashlib" in sys.modules, "loaded": sorted(sys.modules)}))
 """
 
 
@@ -289,3 +307,16 @@ def test_subcommands_import_only_what_they_run(paths):
     assert doc["code"] == 0
     assert "boundarylink.smoves" not in doc["modules"]
     assert "boundarylink.catalog" not in doc["modules"]
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["validate", "wh-double-matrix"], 0, ["dataclasses"]),
+    (["catalog", "list"], 0, ["dataclasses", "boundarylink.diagrams"]),
+    (["ht", "absent"], 64, ["dataclasses", "boundarylink.milnor"]),
+    (["lbeta", "beta"], 0, ["dataclasses"]),
+], ids=["validate", "catalog-list", "ht-missing-file", "lbeta"])
+def test_child_loads_only_what_it_runs(paths, argv, code, absent):
+    paths["absent"] = str(paths["tmp"] / "absent.json")
+    doc = _loaded_by([paths.get(a, a) for a in argv])
+    assert doc["code"] == code
+    assert [m for m in absent if m in doc["loaded"]] == []
