@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/certified, 1 inconclusive (budget or missing data),
 2 negative mathematical verdict or invalid mathematical input, 64 usage or
-parse error, 70 internal error (an unexpected exception).
+parse error, 70 internal error (an unexpected exception), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a process killed by it).
 
 Each subcommand imports the modules it runs once it has read its input, so
 a call loads only those, and a call refused for its input loads fewer.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +28,7 @@ EX_INCONCLUSIVE = 1
 EX_FAILED = 2
 EX_USAGE = 64
 EX_SOFTWARE = 70
+EX_PIPE = 141
 
 
 class UsageError(Exception):
@@ -362,7 +365,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and point stdout at devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -49,21 +49,36 @@ def _mul(a: dict[Monomial, int], b: dict[Monomial, int],
     return {k: v for k, v in out.items() if v}
 
 
-def _letter_series(letter: int, cap: int, reduced: bool) -> dict[Monomial, int]:
-    i = abs(letter)
-    if letter > 0:
-        return {(): 1, (i,): 1}
-    # x_i^-1 = 1 - X_i + X_i^2 - ... ; reduced mode truncates at degree 1
-    out: dict[Monomial, int] = {(): 1}
-    top = 1 if reduced else cap
-    for d in range(1, top + 1):
-        out[(i,) * d] = (-1) ** d
-    return out
+def _divide(acc: dict[Monomial, int], i: int, cap: int,
+            reduced: bool) -> dict[Monomial, int]:
+    """acc * (1 + X_i)^-1: the series out with out + out X_i = acc.
+
+    Solved in increasing degree, each key k subtracting out[k] from
+    k + (i,).  Truncation and the reduced ring are quotients by two-sided
+    ideals, so 1 + X_i has a unique inverse in each and this is exact."""
+    out = dict(acc)
+    by_degree: list[list[Monomial]] = [[] for _ in range(cap + 1)]
+    for k in acc:
+        by_degree[len(k)].append(k)
+    for d in range(cap):
+        for k in by_degree[d]:
+            v = out[k]
+            if not v or (reduced and i in k):
+                continue
+            ki = k + (i,)
+            if ki in out:
+                out[ki] -= v
+            else:
+                out[ki] = -v
+                by_degree[d + 1].append(ki)
+    return {k: v for k, v in out.items() if v}
 
 
 def magnus_expand(w: Word, m: int, degree_cap: int,
                   reduced: bool = True) -> MagnusSeries:
-    """Expand a free-group word under x_i -> 1 + X_i."""
+    """Expand a free-group word under x_i -> 1 + X_i.
+
+    x_i multiplies by 1 + X_i; x_i^-1 divides by it in one pass."""
     if degree_cap < 1:
         raise StructureError("degree cap must be at least 1")
     for letter in w:
@@ -71,7 +86,9 @@ def magnus_expand(w: Word, m: int, degree_cap: int,
             raise StructureError(f"letter {letter} outside x_1..x_{m}")
     acc: dict[Monomial, int] = {(): 1}
     for letter in w:
-        acc = _mul(acc, _letter_series(letter, degree_cap, reduced),
-                   degree_cap, reduced)
+        if letter > 0:
+            acc = _mul(acc, {(): 1, (letter,): 1}, degree_cap, reduced)
+        else:
+            acc = _divide(acc, -letter, degree_cap, reduced)
     coeffs = tuple(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return MagnusSeries(m, degree_cap, reduced, coeffs)

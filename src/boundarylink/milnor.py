@@ -261,8 +261,13 @@ def certify_theorem_A(matrix: SeifertMatrix,
         return Certificate("inconclusive", tuple(checks), tuple(hashes))
 
     failed = False
+    tested: dict[LinkDiagram, tuple[bool, MuTable]] = {}
     for name in names:
-        verdict, table = is_homotopically_trivial(derived[name])
+        # L(beta) passes one diagram as a1 and a2: test each link once
+        d = derived[name]
+        if d not in tested:
+            tested[d] = is_homotopically_trivial(d)
+        verdict, table = tested[d]
         witness = ""
         if not verdict:
             bad = [(i, v) for i, (v, _) in table.entries if v != 0]

@@ -240,3 +240,34 @@ def per_cap_oracle(d, depth: int):
         return memo[i]
 
     return with_indet
+
+
+def magnus_expand_dense(w, m: int, cap: int,
+                        reduced: bool) -> dict[tuple[int, ...], int]:
+    """Magnus expansion of w as a dict, by dense products: each letter is a
+    series (x_i^-1 the geometric series 1 - X_i + X_i^2 - ...), multiplied
+    in term by term and truncated.  Shares no code with boundarylink.magnus."""
+
+    def keep(key):
+        return len(key) <= cap and not (reduced and len(set(key)) != len(key))
+
+    def mul(a, b):
+        out: dict = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                key = ka + kb
+                if keep(key):
+                    out[key] = out.get(key, 0) + va * vb
+        return {k: v for k, v in out.items() if v}
+
+    assert all(1 <= abs(letter) <= m for letter in w)
+    acc = {(): 1}
+    for letter in w:
+        i = abs(letter)
+        if letter > 0:
+            series = {(): 1, (i,): 1}
+        else:
+            top = 1 if reduced else cap
+            series = {(i,) * d: (-1) ** d for d in range(top + 1)}
+        acc = mul(acc, series)
+    return acc

@@ -84,6 +84,27 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # the read end of the pipe is closed before the child writes: a
+    # buffered stdout fails at the final flush, an unbuffered one at print
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "boundarylink.cli", "catalog", "list"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_goodbasis(paths, capsys):
     assert cli.main(["goodbasis", paths["wh-double-matrix"]]) == 0
     doc = json.loads(capsys.readouterr().out)

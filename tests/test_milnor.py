@@ -1,12 +1,13 @@
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
-from helpers import mu_bar_per_cap, per_cap_oracle
+from helpers import magnus_expand_dense, mu_bar_per_cap, per_cap_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,11 +42,16 @@ def test_magnus_reduced_drops_repeats():
 
 
 @st.composite
-def _word_and_meridian(draw):
+def _word(draw, max_size):
     m = draw(st.integers(1, 5))
     letters = st.integers(1, m).flatmap(lambda i: st.sampled_from((i, -i)))
-    return (draw(st.lists(letters, max_size=24).map(tuple)), m,
-            draw(st.integers(1, m)))
+    return draw(st.lists(letters, max_size=max_size).map(tuple)), m
+
+
+@st.composite
+def _word_and_meridian(draw):
+    w, m = draw(_word(24))
+    return w, m, draw(st.integers(1, m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,6 +65,25 @@ def test_deleting_a_meridian_keeps_monomials_without_it(wmc, cap, reduced):
     cut = magnus.magnus_expand(milnor._without_meridian(w, c), m, cap,
                                reduced).as_dict()
     assert cut == {k: v for k, v in full.items() if c not in k}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word(40), st.integers(1, 6), st.booleans())
+def test_magnus_matches_dense_oracle(wm, cap, reduced):
+    # x_i^-1 divides by 1 + X_i in one pass; the oracle multiplies by the
+    # geometric series term by term
+    w, m = wm
+    assert (magnus.magnus_expand(w, m, cap, reduced).as_dict()
+            == magnus_expand_dense(w, m, cap, reduced))
+
+
+def test_magnus_inverse_power_closed_form():
+    # x_1^-k = (1 + X_1)^-k = sum_d (-1)^d C(k + d - 1, d) X_1^d
+    for k in range(1, 6):
+        for cap in range(1, 7):
+            s = magnus.magnus_expand((-1,) * k, 1, cap, reduced=False)
+            assert s.as_dict() == {(1,) * d: (-1) ** d * comb(k + d - 1, d)
+                                   for d in range(cap + 1)}, (k, cap)
 
 
 def test_magnus_rejects_bad_letters():
@@ -303,6 +328,22 @@ def test_l_beta_bundle_certifies():
     cert = milnor.certify_theorem_A(matrix, derived)
     assert cert.verdict == "certified-freely-slice"
     assert all(passed for _, passed, _ in cert.checks)
+
+
+def test_certify_tests_each_distinct_link_once(monkeypatch):
+    # L(beta) passes one diagram as a1 and a2: 4 names, 3 distinct links
+    matrix, derived = milnor.build_l_beta_bundle(catalog.load("beta"))
+    assert len(derived) == 4 and len(set(derived.values())) == 3
+    real = milnor.is_homotopically_trivial
+    calls = []
+    monkeypatch.setattr(milnor, "is_homotopically_trivial",
+                        lambda d: calls.append(d) or real(d))
+    cert = milnor.certify_theorem_A(matrix, derived)
+    assert len(calls) == 3
+    assert [n for n, _, _ in cert.checks if n.startswith("homotopy")] == [
+        "homotopy-trivial:a1", "homotopy-trivial:b1",
+        "homotopy-trivial:a2", "homotopy-trivial:b2"]
+    assert cert.verdict == "certified-freely-slice"
 
 
 def test_certificate_json_embeds_hashes_and_version():
