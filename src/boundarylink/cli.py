@@ -361,11 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EX_USAGE if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help text may still sit in the buffer
+            code = EX_OK if exc.code in (0, None) else EX_USAGE
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

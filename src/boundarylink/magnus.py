@@ -4,6 +4,8 @@ Series live in the ring of noncommutative polynomials in X_1..X_m truncated
 above a degree cap; keys are tuples of 1-based variable indices.  In reduced
 mode every monomial with a repeated index is dropped, which kills X_i^2 and
 makes the ring finite — the right setting for non-repeating Milnor indices.
+A word is expanded letter by letter, each letter in one pass over the
+monomials of the series so far.
 """
 
 from __future__ import annotations
@@ -31,21 +33,16 @@ class MagnusSeries(Frozen):
         return dict(self.coefficients)
 
 
-def _keep(key: Monomial, cap: int, reduced: bool) -> bool:
-    if len(key) > cap:
-        return False
-    return not (reduced and len(set(key)) != len(key))
-
-
-def _mul(a: dict[Monomial, int], b: dict[Monomial, int],
-         cap: int, reduced: bool) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = ka + kb
-            if not _keep(key, cap, reduced):
-                continue
-            out[key] = out.get(key, 0) + va * vb
+def _times(acc: dict[Monomial, int], i: int, cap: int,
+           reduced: bool) -> dict[Monomial, int]:
+    """acc * (1 + X_i) in one pass: each key k below the cap adds acc[k]
+    to k + (i,), reading only acc.  In the reduced ring k is skipped when
+    i in k, since k + (i,) would repeat i."""
+    out = dict(acc)
+    for k, v in acc.items():
+        if len(k) < cap and not (reduced and i in k):
+            ki = k + (i,)
+            out[ki] = out.get(ki, 0) + v
     return {k: v for k, v in out.items() if v}
 
 
@@ -78,7 +75,8 @@ def magnus_expand(w: Word, m: int, degree_cap: int,
                   reduced: bool = True) -> MagnusSeries:
     """Expand a free-group word under x_i -> 1 + X_i.
 
-    x_i multiplies by 1 + X_i; x_i^-1 divides by it in one pass."""
+    x_i multiplies by 1 + X_i and x_i^-1 divides by it, each in one pass
+    over the monomials."""
     if degree_cap < 1:
         raise StructureError("degree cap must be at least 1")
     for letter in w:
@@ -87,7 +85,7 @@ def magnus_expand(w: Word, m: int, degree_cap: int,
     acc: dict[Monomial, int] = {(): 1}
     for letter in w:
         if letter > 0:
-            acc = _mul(acc, {(): 1, (letter,): 1}, degree_cap, reduced)
+            acc = _times(acc, letter, degree_cap, reduced)
         else:
             acc = _divide(acc, -letter, degree_cap, reduced)
     coeffs = tuple(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))

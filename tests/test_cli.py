@@ -84,11 +84,19 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: boom\n"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
-def test_closed_stdout_ends_quietly(unbuffered):
+@pytest.mark.parametrize("argv, unbuffered, codes", [
+    pytest.param(["catalog", "list"], False, {141}, id="buffered"),
+    pytest.param(["catalog", "list"], True, {141}, id="unbuffered"),
+    pytest.param(["--help"], False, {141}, id="help-buffered"),
+    pytest.param(["--help"], True, {0, 141}, id="help-unbuffered"),
+    pytest.param(["mu", "--help"], False, {141}, id="mu-help-buffered"),
+    pytest.param(["mu", "--help"], True, {0, 141}, id="mu-help-unbuffered"),
+])
+def test_closed_stdout_ends_quietly(argv, unbuffered, codes):
     # the read end of the pipe is closed before the child writes: a
-    # buffered stdout fails at the final flush, an unbuffered one at print
+    # buffered stdout fails at the final flush, an unbuffered one at print.
+    # Newer argparse drops the write error of unbuffered help text itself
+    # (exit 0); older argparse raises it, and main ends with 141
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -97,11 +105,11 @@ def test_closed_stdout_ends_quietly(unbuffered):
     os.close(r)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "boundarylink.cli", "catalog", "list"],
+            [sys.executable, "-m", "boundarylink.cli", *argv],
             stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     finally:
         os.close(w)
-    assert proc.returncode == 141
+    assert proc.returncode in codes
     assert proc.stderr == ""
 
 

@@ -4,7 +4,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boundarylink import catalog, diagrams as dg, magnus, milnor, seifert
 from helpers import magnus_expand_dense, mu_bar_per_cap, per_cap_oracle
@@ -19,12 +19,6 @@ def test_magnus_expand_basics():
     assert inv.coefficient((1,)) == -1
     assert inv.coefficient((1, 1)) == 1
     assert inv.coefficient((1, 1, 1)) == -1
-
-
-def test_magnus_inverse_law():
-    w = (1, 2, -1, 2, 2, -2, 1)
-    prod = magnus.magnus_expand(w + dg.invert_word(w), 2, 4, reduced=False)
-    assert prod.as_dict() == {(): 1}
 
 
 def test_magnus_commutator_lowest_term():
@@ -55,6 +49,17 @@ def _word_and_meridian(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_word(24), st.integers(1, 6), st.booleans())
+@example(((1, 2, -1, 2, 2, -2, 1), 2), 4, False)
+def test_magnus_inverse_law(wm, cap, reduced):
+    # the expansion is a group map into the units of either ring
+    w, m = wm
+    inv = dg.invert_word(w)
+    for word in (w + inv, inv + w):
+        assert magnus.magnus_expand(word, m, cap, reduced).as_dict() == {(): 1}
+
+
+@settings(max_examples=150, deadline=None)
 @given(_word_and_meridian(), st.integers(1, 4), st.booleans())
 def test_deleting_a_meridian_keeps_monomials_without_it(wmc, cap, reduced):
     # x_c -> 1 is a group map and X_c -> 0 a ring map of the truncated and
@@ -70,20 +75,28 @@ def test_deleting_a_meridian_keeps_monomials_without_it(wmc, cap, reduced):
 @settings(max_examples=200, deadline=None)
 @given(_word(40), st.integers(1, 6), st.booleans())
 def test_magnus_matches_dense_oracle(wm, cap, reduced):
-    # x_i^-1 divides by 1 + X_i in one pass; the oracle multiplies by the
-    # geometric series term by term
+    # x_i multiplies by 1 + X_i and x_i^-1 divides by it, each in one pass;
+    # the oracle multiplies by 1 + X_i and by the geometric series term by
+    # term
     w, m = wm
     assert (magnus.magnus_expand(w, m, cap, reduced).as_dict()
             == magnus_expand_dense(w, m, cap, reduced))
 
 
 def test_magnus_inverse_power_closed_form():
-    # x_1^-k = (1 + X_1)^-k = sum_d (-1)^d C(k + d - 1, d) X_1^d
-    for k in range(1, 6):
+    # x_1^k = (1 + X_1)^k = sum_d C(k, d) X_1^d, for k < 0 the series
+    # sum_d (-1)^d C(d - k - 1, d) X_1^d; X_1^2 = 0 in the reduced ring,
+    # which leaves 1 + k X_1
+    for k in range(-5, 6):
+        word = (1 if k > 0 else -1,) * abs(k)
         for cap in range(1, 7):
-            s = magnus.magnus_expand((-1,) * k, 1, cap, reduced=False)
-            assert s.as_dict() == {(1,) * d: (-1) ** d * comb(k + d - 1, d)
-                                   for d in range(cap + 1)}, (k, cap)
+            full = {(1,) * d: comb(k, d) if k >= 0
+                    else (-1) ** d * comb(d - k - 1, d)
+                    for d in range(cap + 1)}
+            for reduced, want in ((False, full), (True, {(): 1, (1,): k})):
+                s = magnus.magnus_expand(word, 1, cap, reduced)
+                assert s.as_dict() == {key: v for key, v in want.items()
+                                       if v}, (k, cap, reduced)
 
 
 def test_magnus_rejects_bad_letters():
