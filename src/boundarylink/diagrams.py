@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 
 from .seifert import (Frozen, StructureError, decode_int, decode_int_rows,
-                      decode_ints, setfield, strict_int_rows, strict_ints)
+                      decode_ints, refuse_unknown_keys, setfield,
+                      strict_int_rows, strict_ints)
 
 Passage = tuple[int, str]                 # (crossing id, "o" | "u")
 Crossing = tuple[int, int, int]           # (over strand, under strand, sign)
@@ -101,6 +102,8 @@ class LinkDiagram(Frozen):
             raise StructureError("trailing data after JSON document")
         if not isinstance(doc, dict):
             raise StructureError("diagram file must contain a JSON object")
+        refuse_unknown_keys(doc, ("kind", "strands", "crossings", "components"),
+                            "diagram")
         comps = doc.get("components", {})
         if not isinstance(comps, dict):
             raise StructureError("diagram components must be an object "

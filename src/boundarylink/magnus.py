@@ -4,8 +4,9 @@ Series live in the ring of noncommutative polynomials in X_1..X_m truncated
 above a degree cap; keys are tuples of 1-based variable indices.  In reduced
 mode every monomial with a repeated index is dropped, which kills X_i^2 and
 makes the ring finite — the right setting for non-repeating Milnor indices.
-A word is expanded letter by letter, each letter in one pass over the
-monomials of the series so far.
+An expansion lists the ring's monomials once, in (degree, key) order, and
+holds the series as a list of coefficients by position; each letter is one
+in-place pass over precomputed pairs of positions.
 """
 
 from __future__ import annotations
@@ -33,60 +34,55 @@ class MagnusSeries(Frozen):
         return dict(self.coefficients)
 
 
-def _times(acc: dict[Monomial, int], i: int, cap: int,
-           reduced: bool) -> dict[Monomial, int]:
-    """acc * (1 + X_i) in one pass: each key k below the cap adds acc[k]
-    to k + (i,), reading only acc.  In the reduced ring k is skipped when
-    i in k, since k + (i,) would repeat i."""
-    out = dict(acc)
-    for k, v in acc.items():
-        if len(k) < cap and not (reduced and i in k):
-            ki = k + (i,)
-            out[ki] = out.get(ki, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _divide(acc: dict[Monomial, int], i: int, cap: int,
-            reduced: bool) -> dict[Monomial, int]:
-    """acc * (1 + X_i)^-1: the series out with out + out X_i = acc.
-
-    Solved in increasing degree, each key k subtracting out[k] from
-    k + (i,).  Truncation and the reduced ring are quotients by two-sided
-    ideals, so 1 + X_i has a unique inverse in each and this is exact."""
-    out = dict(acc)
-    by_degree: list[list[Monomial]] = [[] for _ in range(cap + 1)]
-    for k in acc:
-        by_degree[len(k)].append(k)
-    for d in range(cap):
-        for k in by_degree[d]:
-            v = out[k]
-            if not v or (reduced and i in k):
-                continue
-            ki = k + (i,)
-            if ki in out:
-                out[ki] -= v
-            else:
-                out[ki] = -v
-                by_degree[d + 1].append(ki)
-    return {k: v for k, v in out.items() if v}
+def _ring(m: int, cap: int, reduced: bool, used: set[int]
+          ) -> tuple[list[Monomial], dict[int, list[int]], dict[int, list[int]]]:
+    """The ring's monomials in (degree, key) order, and for each variable i
+    in used the positions of every key k that k + (i,) extends, with those
+    of k + (i,), in increasing degree of k.  Breadth first: each key k,
+    taken in order, appends k + (i,) for i = 1..m, which lists the next
+    degree in order."""
+    keys: list[Monomial] = [()]
+    src: dict[int, list[int]] = {i: [] for i in used}
+    dst: dict[int, list[int]] = {i: [] for i in used}
+    for s, k in enumerate(keys):
+        if len(k) == cap:
+            break
+        for i in range(1, m + 1):
+            if not (reduced and i in k):
+                if i in used:
+                    src[i].append(s)
+                    dst[i].append(len(keys))
+                keys.append(k + (i,))
+    return keys, src, dst
 
 
 def magnus_expand(w: Word, m: int, degree_cap: int,
                   reduced: bool = True) -> MagnusSeries:
     """Expand a free-group word under x_i -> 1 + X_i.
 
-    x_i multiplies by 1 + X_i and x_i^-1 divides by it, each in one pass
-    over the monomials."""
+    The series is a list of coefficients by ring position, and each letter
+    is one in-place pass over its variable's (s, t) pairs, t = s + (i,),
+    so t is one degree above s.  x_i multiplies by 1 + X_i:
+    acc[t] += acc[s] in decreasing degree of s, so every read sees acc from
+    before the letter.  x_i^-1 divides by it, solving out + out X_i = acc:
+    acc[t] -= acc[s] in increasing degree of s, so every read sees out[s],
+    already solved.  Truncation and the reduced ring are quotients by
+    two-sided ideals, so 1 + X_i has a unique inverse in each and both
+    passes are exact.  Zeros are dropped once, at the end."""
     if degree_cap < 1:
         raise StructureError("degree cap must be at least 1")
     for letter in w:
         if letter == 0 or abs(letter) > m:
             raise StructureError(f"letter {letter} outside x_1..x_{m}")
-    acc: dict[Monomial, int] = {(): 1}
+    keys, src, dst = _ring(m, degree_cap, reduced, {abs(l) for l in w})
+    acc = [0] * len(keys)
+    acc[0] = 1
     for letter in w:
         if letter > 0:
-            acc = _times(acc, letter, degree_cap, reduced)
+            for s, t in zip(reversed(src[letter]), reversed(dst[letter])):
+                acc[t] += acc[s]
         else:
-            acc = _divide(acc, -letter, degree_cap, reduced)
-    coeffs = tuple(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return MagnusSeries(m, degree_cap, reduced, coeffs)
+            for s, t in zip(src[-letter], dst[-letter]):
+                acc[t] -= acc[s]
+    return MagnusSeries(m, degree_cap, reduced,
+                        tuple((k, v) for k, v in zip(keys, acc) if v))

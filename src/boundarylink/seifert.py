@@ -140,6 +140,13 @@ def decode_int_rows(rows, what: str) -> IntMatrix:
     return tuple(decode_ints(r, what) for r in rows)
 
 
+def refuse_unknown_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    """A key the document kind does not define is refused, never ignored."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise StructureError(f"unknown {what} key: {', '.join(map(repr, unknown))}")
+
+
 _INT = {int}
 
 

@@ -24,7 +24,8 @@ from . import intmat
 from .intmat import IntMatrix
 from .seifert import (Frozen, SeifertMatrix, StructureError, decode_int,
                       decode_int_rows, decode_ints, is_valid, null_matrix,
-                      setfield, strict_int_rows, strict_ints)
+                      refuse_unknown_keys, setfield, strict_int_rows,
+                      strict_ints)
 
 
 class ReplayError(ValueError):
@@ -588,6 +589,7 @@ def move_from_doc(doc: dict) -> SMove:
         raise StructureError(f"a move must be a JSON object, got {doc!r}")
     kind = doc.get("move")
     if kind == "congruence":
+        refuse_unknown_keys(doc, ("move", "blocks"), "congruence move")
         if not isinstance(doc["blocks"], list):
             raise StructureError("congruence blocks must be a list of matrices")
         blocks = tuple(decode_int_rows(b, "congruence block")
@@ -597,12 +599,16 @@ def move_from_doc(doc: dict) -> SMove:
                 raise StructureError("congruence blocks must be square")
         return Congruence(blocks)
     if kind == "enlarge":
+        refuse_unknown_keys(doc, ("move", "k", "eps", "rows", "offset",
+                                  "swapped"), "enlarge move")
         return Enlargement(k=decode_int(doc["k"], "k"),
                            eps=decode_ints(doc["eps"], "eps"),
                            rows=decode_int_rows(doc["rows"], "rows"),
                            offset=decode_int(doc.get("offset", 0), "offset"),
                            swapped=_decode_bool(doc.get("swapped", False)))
     if kind == "reduce":
+        refuse_unknown_keys(doc, ("move", "k", "offset", "swapped"),
+                            "reduce move")
         return Reduce(decode_int(doc["k"], "k"),
                       decode_int(doc["offset"], "offset"),
                       _decode_bool(doc.get("swapped", False)))

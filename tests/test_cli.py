@@ -261,6 +261,32 @@ def _assert_child_usage_error(argv, prefix="error: "):
     assert proc.returncode == 64, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(prefix)
+    return proc
+
+
+_UNKNOWN_KEY_MOVES = {
+    "congruence": {"move": "congruence", "blocks": [[[1, 0], [0, 1]]]},
+    "enlarge": {"move": "enlarge", "k": 0, "eps": [1, 0], "rows": [[0]]},
+    "reduce": {"move": "reduce", "k": 0, "offset": 0},
+}
+
+
+@pytest.mark.parametrize("kind", ["diagram", *_UNKNOWN_KEY_MOVES])
+def test_unknown_key_is_usage_error(tmp_path, kind):
+    # a diagram or move document with a key its kind does not define ends
+    # with exit 64 and one error line naming the key, not a silent ignore
+    doc = tmp_path / "doc.json"
+    if kind == "diagram":
+        d = json.loads(catalog.raw_payload("whitehead"))
+        doc.write_text(json.dumps(dict(d, colour="red")))
+        argv = ["ht", str(doc)]
+    else:
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(catalog.raw_payload("wh-double-matrix"))
+        doc.write_text(json.dumps([dict(_UNKNOWN_KEY_MOVES[kind], colour=1)]))
+        argv = ["replay", str(matrix), str(doc)]
+    proc = _assert_child_usage_error(argv)
+    assert proc.stderr.count("\n") == 1 and "'colour'" in proc.stderr
 
 
 @pytest.mark.parametrize("sublink", [",", "", "1,1"])

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from boundarylink import catalog, diagrams as dg
+from boundarylink import catalog, diagrams as dg, seifert
 
 
 def hopf() -> dg.LinkDiagram:
@@ -101,6 +103,15 @@ def test_diagram_json_round_trip():
         again = dg.LinkDiagram.from_json(d.to_json())
         assert again == d
         assert again.to_json() == d.to_json()
+
+
+def test_diagram_keys_are_exact():
+    # components may be left out; a key a diagram does not define is refused
+    doc = json.loads(catalog.raw_payload("hopf"))
+    del doc["components"]
+    assert dg.LinkDiagram.from_json(json.dumps(doc)) == catalog.load("hopf")
+    with pytest.raises(seifert.StructureError, match="'name'"):
+        dg.LinkDiagram.from_json(json.dumps(dict(doc, name="hopf")))
 
 
 def test_diagram_validation_rejects_dangling_crossing():

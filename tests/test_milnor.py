@@ -83,6 +83,19 @@ def test_magnus_matches_dense_oracle(wm, cap, reduced):
             == magnus_expand_dense(w, m, cap, reduced))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_word(200), st.integers(1, 3), st.booleans())
+def test_magnus_coefficients_are_ordered_nonzero_and_exact(wm, cap, reduced):
+    # the kernel holds zeros until the end; the series it returns lists its
+    # monomials in (degree, key) order and no zero coefficient
+    w, m = wm
+    coeffs = magnus.magnus_expand(w, m, cap, reduced).coefficients
+    keys = [k for k, _ in coeffs]
+    assert keys == sorted(keys, key=lambda k: (len(k), k))
+    assert all(v for _, v in coeffs)
+    assert dict(coeffs) == magnus_expand_dense(w, m, cap, reduced)
+
+
 def test_magnus_inverse_power_closed_form():
     # x_1^k = (1 + X_1)^k = sum_d C(k, d) X_1^d, for k < 0 the series
     # sum_d (-1)^d C(d - k - 1, d) X_1^d; X_1^2 = 0 in the reduced ring,
@@ -285,6 +298,17 @@ def test_ht_table_of_five_component_closure_is_pinned():
     assert not verdict
     assert table.to_json() + "\n" == \
         (DATA / "ht-pure5-table.json").read_text()
+
+
+def test_ht_table_of_cable44_closure_is_pinned():
+    # closure(cable(beta, (4, 4))): 8 components, 92 crossings; length 4
+    # is the first with a nonzero entry, so the table has 2,072 entries
+    d = dg.closure(dg.cable(catalog.load("beta"), (4, 4)))
+    assert (d.n, len(d.crossings)) == (8, 92)
+    verdict, table = milnor.is_homotopically_trivial(d)
+    assert not verdict and len(table.entries) == 2072
+    assert table.to_json() + "\n" == \
+        (DATA / "ht-cable44-table.json").read_text()
 
 
 def test_homotopy_witness_is_first_failure():

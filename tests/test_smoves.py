@@ -277,6 +277,21 @@ def test_moves_from_json_rejects_garbage():
         smoves.moves_from_json('[{"type": "mystery"}]')
 
 
+def test_move_keys_are_exact():
+    # offset and swapped may be left out where they have defaults; a key
+    # no move kind defines is refused
+    assert smoves.moves_from_json(
+        '[{"move": "enlarge", "k": 0, "eps": [1, 0], "rows": [[0]]},'
+        ' {"move": "reduce", "k": 0, "offset": 0}]') == (
+        smoves.Enlargement(0, (1, 0), ((0,),)), smoves.Reduce(0, 0))
+    for doc in ('[{"move": "reduce", "k": 0, "offset": 0, "note": ""}]',
+                '[{"move": "enlarge", "k": 0, "eps": [1, 0], "rows": [[0]],'
+                ' "swap": true}]',
+                '[{"move": "congruence", "blocks": [], "moves": []}]'):
+        with pytest.raises(seifert.StructureError, match="unknown"):
+            smoves.moves_from_json(doc)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 62))
 def test_enlarge_reduce_round_trip_property(seed):
