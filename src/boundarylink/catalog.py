@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .seifert import Frozen, SeifertMatrix, StructureError, setfield
+from .seifert import Frozen, SeifertMatrix, StructureError, read_json, setfield
 
 if TYPE_CHECKING:
     from .diagrams import LinkDiagram
@@ -28,7 +27,7 @@ class CatalogEntry(Frozen):
 
 
 def _manifest() -> dict:
-    return json.loads((DATA_DIR / "catalog.json").read_text())
+    return read_json((DATA_DIR / "catalog.json").read_text())
 
 
 def entries() -> list[CatalogEntry]:
@@ -36,7 +35,8 @@ def entries() -> list[CatalogEntry]:
             for name, info in sorted(_manifest().items())]
 
 
-def raw_payload(name: str) -> str:
+def _verified(name: str) -> tuple[str, str]:
+    """The kind and the checksummed payload of a catalog entry."""
     info = _manifest().get(name)
     if info is None:
         raise StructureError(f"no catalog entry named {name!r}")
@@ -44,15 +44,16 @@ def raw_payload(name: str) -> str:
     digest = hashlib.sha256(payload.encode()).hexdigest()
     if digest != info["sha256"]:
         raise StructureError(f"catalog entry {name!r} fails its checksum")
-    return payload
+    return info["kind"], payload
+
+
+def raw_payload(name: str) -> str:
+    return _verified(name)[1]
 
 
 def load(name: str) -> SeifertMatrix | LinkDiagram:
-    info = _manifest().get(name)
-    if info is None:
-        raise StructureError(f"no catalog entry named {name!r}")
-    payload = raw_payload(name)
-    if info["kind"] == "matrix":
+    kind, payload = _verified(name)
+    if kind == "matrix":
         return SeifertMatrix.from_json(payload)
     from .diagrams import LinkDiagram
 

@@ -49,29 +49,28 @@ def _write_text(path: str | Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> seifert.SeifertMatrix:
+def _load(path: str, parse):
+    """parse(text of path); a malformed document is a usage error."""
     try:
-        return seifert.SeifertMatrix.from_json(_read_text(path))
+        return parse(_read_text(path))
     except seifert.StructureError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_matrix(path: str) -> seifert.SeifertMatrix:
+    return _load(path, seifert.SeifertMatrix.from_json)
 
 
 def _load_diagram(path: str) -> dg.LinkDiagram:
     from . import diagrams as dg
 
-    try:
-        return dg.LinkDiagram.from_json(_read_text(path))
-    except seifert.StructureError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    return _load(path, dg.LinkDiagram.from_json)
 
 
 def _load_moves(path: str) -> tuple[smoves.SMove, ...]:
     from . import smoves
 
-    try:
-        return smoves.moves_from_json(_read_text(path))
-    except (seifert.StructureError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    return _load(path, smoves.moves_from_json)
 
 
 def cmd_validate(args) -> int:
@@ -374,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EX_PIPE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except seifert.StructureError as exc:
+    except (UsageError, seifert.StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except Exception as exc:

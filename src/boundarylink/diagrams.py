@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 
 from .seifert import (Frozen, StructureError, decode_int, decode_int_rows,
-                      decode_ints, refuse_unknown_keys, setfield,
-                      strict_int_rows, strict_ints)
+                      decode_ints, decode_list, decode_object, read_json,
+                      setfield, strict_int_rows, strict_ints)
 
 Passage = tuple[int, str]                 # (crossing id, "o" | "u")
 Crossing = tuple[int, int, int]           # (over strand, under strand, sign)
@@ -61,6 +61,8 @@ class LinkDiagram(Frozen):
                 if key in seen:
                     raise StructureError(f"crossing {cid} used twice as {role!r}")
                 seen[key] = s
+        if any(len(c) != 3 for c in self.crossings):
+            raise StructureError("a crossing must be [over, under, sign]")
         for cid, (ov, un, sg) in enumerate(self.crossings):
             if sg not in (1, -1):
                 raise StructureError(f"crossing {cid} has sign {sg}")
@@ -94,31 +96,27 @@ class LinkDiagram(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "LinkDiagram":
-        try:
-            doc, endpos = json.JSONDecoder().raw_decode(text)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"bad JSON: {exc}") from exc
-        if text[endpos:].strip():
-            raise StructureError("trailing data after JSON document")
-        if not isinstance(doc, dict):
-            raise StructureError("diagram file must contain a JSON object")
-        refuse_unknown_keys(doc, ("kind", "strands", "crossings", "components"),
-                            "diagram")
+        doc = decode_object(read_json(text), "diagram",
+                            ("kind", "strands", "crossings"), ("components",))
         comps = doc.get("components", {})
         if not isinstance(comps, dict):
             raise StructureError("diagram components must be an object "
                                  "mapping labels to strand lists")
-        try:
-            return cls(
-                kind=doc["kind"],
-                strands=tuple(tuple((decode_int(c, "crossing id"), r)
-                                    for c, r in s) for s in doc["strands"]),
-                crossings=decode_int_rows(doc["crossings"], "crossings"),
-                components=tuple((l, decode_ints(ss, "component strands"))
-                                 for l, ss in comps.items()),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructureError(f"malformed diagram document: {exc}") from exc
+        strands = decode_list(doc["strands"], "strands", "passage lists")
+        return cls(
+            kind=doc["kind"],
+            strands=tuple(tuple(map(_decode_passage, decode_list(
+                s, "strand", "passages"))) for s in strands),
+            crossings=decode_int_rows(doc["crossings"], "crossings"),
+            components=tuple((l, decode_ints(ss, "component strands"))
+                             for l, ss in comps.items()),
+        )
+
+
+def _decode_passage(p) -> Passage:
+    if not isinstance(p, list) or len(p) != 2:
+        raise StructureError(f"passage must be [crossing, role], got {p!r}")
+    return decode_int(p[0], "crossing id"), p[1]
 
 
 def trivial(n: int) -> LinkDiagram:

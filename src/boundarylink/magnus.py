@@ -27,9 +27,6 @@ class MagnusSeries(Frozen):
         setfield(self, "reduced", reduced)
         setfield(self, "coefficients", coefficients)
 
-    def coefficient(self, key: Monomial) -> int:
-        return dict(self.coefficients).get(tuple(key), 0)
-
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.coefficients)
 

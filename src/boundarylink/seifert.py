@@ -107,17 +107,46 @@ class SeifertMatrix(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "SeifertMatrix":
-        try:
-            doc, end = json.JSONDecoder().raw_decode(text)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"bad JSON: {exc}") from exc
-        if text[end:].strip():
-            raise StructureError("trailing data after JSON document")
-        if not isinstance(doc, dict) or set(doc) != {"m", "block_sizes", "rows"}:
-            raise StructureError("matrix document must have keys m, block_sizes, rows")
-        return cls(decode_int(doc["m"], "m"),
-                   decode_ints(doc["block_sizes"], "block_sizes"),
+        doc = decode_object(read_json(text), "matrix",
+                            ("m", "block_sizes", "rows"))
+        return cls(doc["m"], decode_ints(doc["block_sizes"], "block_sizes"),
                    decode_int_rows(doc["rows"], "rows"))
+
+
+# Every input document is decoded by the helpers below and the value
+# constructors' checks, which raise only StructureError.
+
+
+def read_json(text: str):
+    """The one JSON value text holds; bad JSON or trailing data is refused."""
+    try:
+        doc, end = json.JSONDecoder().raw_decode(text)
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"bad JSON: {exc}") from exc
+    if text[end:].strip():
+        raise StructureError("trailing data after JSON document")
+    return doc
+
+
+def decode_object(doc, what: str, required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> dict:
+    """doc, if it is a JSON object with every required key and no key
+    outside required and optional; unknown keys are named first."""
+    if not isinstance(doc, dict):
+        raise StructureError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc).difference(required, optional))
+    if unknown:
+        raise StructureError(f"unknown {what} key: {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise StructureError(f"missing {what} key: {', '.join(map(repr, missing))}")
+    return doc
+
+
+def decode_list(values, what: str, items: str) -> list:
+    if not isinstance(values, list):
+        raise StructureError(f"{what} must be a list of {items}")
+    return values
 
 
 def decode_int(value, what: str) -> int:
@@ -129,22 +158,12 @@ def decode_int(value, what: str) -> int:
 
 
 def decode_ints(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise StructureError(f"{what} must be a list of integers")
-    return strict_ints(values, what)
+    return strict_ints(decode_list(values, what, "integers"), what)
 
 
 def decode_int_rows(rows, what: str) -> IntMatrix:
-    if not isinstance(rows, list):
-        raise StructureError(f"{what} must be a list of integer lists")
-    return tuple(decode_ints(r, what) for r in rows)
-
-
-def refuse_unknown_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
-    """A key the document kind does not define is refused, never ignored."""
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise StructureError(f"unknown {what} key: {', '.join(map(repr, unknown))}")
+    return tuple(decode_ints(r, what)
+                 for r in decode_list(rows, what, "integer lists"))
 
 
 _INT = {int}

@@ -23,9 +23,9 @@ from typing import Iterable, Optional
 from . import intmat
 from .intmat import IntMatrix
 from .seifert import (Frozen, SeifertMatrix, StructureError, decode_int,
-                      decode_int_rows, decode_ints, is_valid, null_matrix,
-                      refuse_unknown_keys, setfield, strict_int_rows,
-                      strict_ints)
+                      decode_int_rows, decode_ints, decode_list, decode_object,
+                      is_valid, null_matrix, read_json, setfield,
+                      strict_int_rows, strict_ints)
 
 
 class ReplayError(ValueError):
@@ -85,7 +85,7 @@ class Enlargement(Frozen):
         eps = strict_ints(eps, "eps")
         rows = strict_int_rows(rows, "enlargement row")
         if eps not in ((1, 0), (0, 1)):
-            raise ValueError("(eps, eps') must be (1,0) or (0,1)")
+            raise StructureError("(eps, eps') must be (1,0) or (0,1)")
         setfield(self, "k", k)
         setfield(self, "eps", eps)            # (eps, eps')
         setfield(self, "rows", rows)
@@ -130,10 +130,6 @@ class MoveSequence(Frozen):
         for mv in self.moves:
             mats.append(apply_move(mats[-1], mv))
         return mats
-
-    @property
-    def end(self) -> SeifertMatrix:
-        return self.replay()[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +272,6 @@ class SearchResult(Frozen):
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.status == "budget"
 
 
 def reduce_to_null(a: SeifertMatrix, budget: int = 10 ** 6) -> SearchResult:
@@ -584,31 +576,30 @@ def move_to_doc(mv: SMove) -> dict:
     raise TypeError(f"not a move: {mv!r}")
 
 
-def move_from_doc(doc: dict) -> SMove:
-    if not isinstance(doc, dict):
-        raise StructureError(f"a move must be a JSON object, got {doc!r}")
-    kind = doc.get("move")
+# every key that some move kind defines
+_MOVE_KEYS = ("move", "blocks", "k", "eps", "rows", "offset", "swapped")
+
+
+def move_from_doc(doc) -> SMove:
+    kind = decode_object(doc, "move", ("move",), _MOVE_KEYS)["move"]
     if kind == "congruence":
-        refuse_unknown_keys(doc, ("move", "blocks"), "congruence move")
-        if not isinstance(doc["blocks"], list):
-            raise StructureError("congruence blocks must be a list of matrices")
-        blocks = tuple(decode_int_rows(b, "congruence block")
-                       for b in doc["blocks"])
+        decode_object(doc, "congruence move", ("move", "blocks"))
+        blocks = tuple(decode_int_rows(b, "congruence block") for b in
+                       decode_list(doc["blocks"], "congruence blocks",
+                                   "matrices"))
         for b in blocks:
             if any(len(row) != len(b) for row in b):
                 raise StructureError("congruence blocks must be square")
         return Congruence(blocks)
     if kind == "enlarge":
-        refuse_unknown_keys(doc, ("move", "k", "eps", "rows", "offset",
-                                  "swapped"), "enlarge move")
-        return Enlargement(k=decode_int(doc["k"], "k"),
-                           eps=decode_ints(doc["eps"], "eps"),
+        decode_object(doc, "enlarge move", ("move", "k", "eps", "rows"),
+                      ("offset", "swapped"))
+        return Enlargement(k=doc["k"], eps=decode_ints(doc["eps"], "eps"),
                            rows=decode_int_rows(doc["rows"], "rows"),
-                           offset=decode_int(doc.get("offset", 0), "offset"),
+                           offset=doc.get("offset", 0),
                            swapped=_decode_bool(doc.get("swapped", False)))
     if kind == "reduce":
-        refuse_unknown_keys(doc, ("move", "k", "offset", "swapped"),
-                            "reduce move")
+        decode_object(doc, "reduce move", ("move", "k", "offset"), ("swapped",))
         return Reduce(decode_int(doc["k"], "k"),
                       decode_int(doc["offset"], "offset"),
                       _decode_bool(doc.get("swapped", False)))
@@ -626,12 +617,5 @@ def moves_to_json(moves: Iterable[SMove]) -> str:
 
 
 def moves_from_json(text: str) -> tuple[SMove, ...]:
-    try:
-        doc, endpos = json.JSONDecoder().raw_decode(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"bad JSON: {exc}") from exc
-    if text[endpos:].strip():
-        raise StructureError("trailing data after JSON document")
-    if not isinstance(doc, list):
-        raise StructureError("move file must contain a JSON list")
-    return tuple(move_from_doc(d) for d in doc)
+    docs = decode_list(read_json(text), "move file", "moves")
+    return tuple(map(move_from_doc, docs))

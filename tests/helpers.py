@@ -225,7 +225,7 @@ def per_cap_oracle(d, depth: int):
         key = (i[-1], len(i) - 1, len(set(i)) == len(i))
         if key not in expansions:
             expansions[key] = magnus_expand(longs[i[-1] - 1], d.n, *key[1:])
-        return expansions[key].coefficient(i[:-1])
+        return expansions[key].as_dict().get(i[:-1], 0)
 
     def with_indet(i):
         if i not in memo:
