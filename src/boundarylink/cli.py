@@ -168,12 +168,12 @@ def cmd_normalize(args) -> int:
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
-    try:
-        if "," in text:
-            return tuple(int(t) for t in text.split(","))
-        return tuple(int(ch) for ch in text)
-    except ValueError as exc:
-        raise UsageError(f"bad index {text!r}") from exc
+    # ASCII digits only: int() would also take other scripts' digits,
+    # signs, underscores and surrounding spaces
+    parts = text.split(",") if "," in text else list(text)
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise UsageError(f"bad index {text!r}")
+    return tuple(map(int, parts))
 
 
 def cmd_mu(args) -> int:
@@ -199,7 +199,7 @@ def cmd_ht(args) -> int:
 
 def cmd_htplus(args) -> int:
     diagram = _load_diagram(args.diagram)
-    sublink = tuple(s for s in args.sublink.split(",") if s)
+    sublink = tuple(args.sublink.split(","))
     from . import milnor
 
     pair = milnor.PairedLink(diagram, sublink)

@@ -362,92 +362,64 @@ def exponent_sum(w: Word, gen: int) -> int:
 
 
 def wirtinger_longitudes(d: LinkDiagram,
-                         depth: int | tuple[int, ...]) -> list[Word]:
+                         depths: tuple[int, ...]) -> list[Word]:
     """Zero-framed longitudes of a closed diagram as meridian words.
 
-    Arc generators are rewritten `depth` times through the crossing relations
-    w(out) = o^-sign w(in) o^sign, starting every arc at its component's
-    meridian; this is exact modulo the lower central series at the depth the
-    caller needs (depth >= the length of any Milnor index to be read off).
-    `depth` may instead give one depth per component: all longitudes then
-    come from one sweep run, each read off after its own number of sweeps.
-    The longitude reads off o^sign at each under-passage; this pairing keeps
-    mu-bar(ij) equal to the linking number and makes the higher coefficients
-    satisfy the cyclic and shuffle relations (the opposite pairing fails them
-    on diagrams with self-crossings).
+    Strand s is cut into arcs at the crossings it passes under: arc 0 holds
+    its first passage, arc j + 1 starts after its j-th under-passage, and
+    the part after its last under-passage closes up into arc 0.  Each sweep
+    rewrites every arc word from the previous sweep's words: arc 0 is the
+    meridian s + 1, and arc j + 1 = o^-sign (arc j) o^sign, where o is the
+    arc passing over at the j-th under-passage.  `depths` gives one depth
+    per component, and component s's longitude is read after depths[s]
+    sweeps, so all longitudes come from one sweep run.  This is exact modulo
+    the lower central series at the depth the caller needs (depth >= the
+    length of any Milnor index to be read off).  The longitude reads off
+    o^sign at each under-passage; this pairing keeps mu-bar(ij) equal to
+    the linking number and makes the higher coefficients satisfy the cyclic
+    and shuffle relations (the opposite pairing fails them on diagrams with
+    self-crossings).
     """
     if d.kind != "closed":
         raise StructureError("longitudes need a closed diagram")
-    depths = (depth,) * d.n if isinstance(depth, int) else tuple(depth)
     if len(depths) != d.n:
         raise StructureError(f"need one depth per component, got {len(depths)}")
     if min(depths, default=2) < 2:
         raise StructureError("depth must be at least 2")
 
-    # arcs: strand s splits after each under-passage; arc_of[(s, pos)] is the
-    # arc occupied at passage position pos, arcs numbered along the strand
-    under_pos: list[list[int]] = []
-    arc_of: dict[tuple[int, int], int] = {}
-    arc_count: list[int] = []
+    unders = [[cid for cid, r in passages if r == "u"]
+              for passages in d.strands]
+    # over_arc[cid]: (over strand, its arc at crossing cid)
+    over_arc = [(0, 0)] * len(d.crossings)
     for s, passages in enumerate(d.strands):
-        ups = [p for p, (_, r) in enumerate(passages) if r == "u"]
-        under_pos.append(ups)
-        arc_count.append(max(len(ups), 1))
-        if not ups:
-            for p in range(len(passages)):
-                arc_of[(s, p)] = 0
-            continue
-        # arc j ends at under-passage ups[j]; positions after ups[-1] wrap to arc 0
         j = 0
-        for p in range(len(passages)):
-            arc_of[(s, p)] = j % len(ups)
-            if j < len(ups) and p == ups[j]:
+        for cid, r in passages:
+            if r == "u":
                 j += 1
+            else:
+                over_arc[cid] = (s, j if j < len(unders[s]) else 0)
 
-    over_arc_at: dict[int, tuple[int, int]] = {}
-    for s, passages in enumerate(d.strands):
-        for p, (cid, r) in enumerate(passages):
-            if r == "o":
-                over_arc_at[cid] = (s, arc_of[(s, p)])
+    def over(arcs: list[list[Word]], cid: int, power: int) -> Word:
+        s, j = over_arc[cid]
+        o = arcs[s][j]
+        return o if power * d.crossings[cid][2] > 0 else invert_word(o)
 
-    words: dict[tuple[int, int], Word] = {
-        (s, j): (s + 1,) for s in range(d.n) for j in range(arc_count[s])}
+    arcs = [[(s + 1,)] * max(len(cids), 1) for s, cids in enumerate(unders)]
     longs: list[Word] = [()] * d.n
     for sweep in range(1, max(depths, default=0) + 1):
-        new: dict[tuple[int, int], Word] = {}
-        for s in range(d.n):
-            ups = under_pos[s]
-            base = arc_of[(s, 0)] if d.strands[s] else 0
-            new[(s, base)] = (s + 1,)
-            cur = new[(s, base)]
-            # walk the strand once around from the base arc; arc j ends at
-            # under-passage ups[j], so the walk meets ups[base], ups[base+1], ...
-            for step in range(len(ups)):
-                p = ups[(base + step) % len(ups)]
-                cid = d.strands[s][p][0]
-                sg = d.crossings[cid][2]
-                o = words[over_arc_at[cid]]
-                conj = invert_word(o) if sg > 0 else o
-                cur = concat(conj, cur, invert_word(conj))
-                out_arc = (arc_of[(s, p)] + 1) % arc_count[s]
-                if out_arc != base:
-                    new[(s, out_arc)] = cur
-        words = new
-        for s in range(d.n):
+        prev, arcs = arcs, []
+        for s, cids in enumerate(unders):
+            row = [(s + 1,)]
+            # the last under-passage leads back into arc 0
+            for cid in cids[:-1]:
+                conj = over(prev, cid, -1)
+                row.append(concat(conj, row[-1], invert_word(conj)))
+            arcs.append(row)
+        for s, cids in enumerate(unders):
             if depths[s] == sweep:
-                longs[s] = _read_longitude(d, s, words, over_arc_at)
+                pieces = [over(arcs, cid, 1) for cid in cids]
+                # zero framing: cancel the exponent sum of the own meridian
+                e = sum(exponent_sum(w, s + 1) for w in pieces)
+                longs[s] = concat(*pieces,
+                                  (-(s + 1) if e > 0 else s + 1,) * abs(e))
     return longs
-
-
-def _read_longitude(d: LinkDiagram, s: int,
-                    words: dict[tuple[int, int], Word],
-                    over_arc_at: dict[int, tuple[int, int]]) -> Word:
-    lon: Word = ()
-    for cid, r in d.strands[s]:
-        if r != "u":
-            continue
-        sg = d.crossings[cid][2]
-        o = words[over_arc_at[cid]]
-        lon = concat(lon, o if sg > 0 else invert_word(o))
-    e = exponent_sum(lon, s + 1)
-    return concat(lon, tuple([-(s + 1)] * e if e > 0 else [s + 1] * (-e)))

@@ -144,7 +144,7 @@ def is_homotopically_trivial(d: LinkDiagram) -> tuple[bool, MuTable]:
     if d.kind != "closed":
         raise StructureError("homotopy test needs a closed diagram")
     m = d.n
-    longs = dg.wirtinger_longitudes(d, m) if m > 1 else []
+    longs = dg.wirtinger_longitudes(d, (m,) * m) if m > 1 else []
     longs = [_without_meridian(w, c) for c, w in enumerate(longs, 1)]
     entries: list[tuple[Index, tuple[int, int]]] = []
     trivial_so_far = True

@@ -118,14 +118,12 @@ class SeifertMatrix(Frozen):
 
 
 def read_json(text: str):
-    """The one JSON value text holds; bad JSON or trailing data is refused."""
+    """The one JSON value text holds, with JSON whitespace allowed around
+    it; bad JSON or trailing data is refused."""
     try:
-        doc, end = json.JSONDecoder().raw_decode(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"bad JSON: {exc}") from exc
-    if text[end:].strip():
-        raise StructureError("trailing data after JSON document")
-    return doc
 
 
 def decode_object(doc, what: str, required: tuple[str, ...],

@@ -217,7 +217,7 @@ def per_cap_oracle(d, depth: int):
     from boundarylink import diagrams as dg
     from boundarylink.magnus import magnus_expand
 
-    longs = dg.wirtinger_longitudes(d, depth)
+    longs = dg.wirtinger_longitudes(d, (depth,) * d.n)
     expansions: dict = {}
     memo: dict = {}
 

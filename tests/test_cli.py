@@ -155,6 +155,10 @@ def test_mu(paths, capsys):
 def test_mu_bad_index_usage(paths):
     assert cli.main(["mu", paths["hopf"], "--index", "xy"]) == 64
     assert cli.main(["mu", paths["hopf"], "--index", "13"]) == 64
+    # int() would read each of these: other scripts' digits, a sign, an
+    # underscore, a space
+    for index in ("\u0661\u0662", "1,+2", "1_2,1", "1, 2"):
+        assert cli.main(["mu", paths["hopf"], "--index", index]) == 64
 
 
 def test_ht(paths):
@@ -271,25 +275,36 @@ _UNKNOWN_KEY_MOVES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["diagram", *_UNKNOWN_KEY_MOVES])
+@pytest.mark.parametrize("kind", ["diagram", *_UNKNOWN_KEY_MOVES,
+                                  "blank-line:matrix", "blank-line:diagram",
+                                  "blank-line:reduce"])
 def test_unknown_key_is_usage_error(tmp_path, kind):
-    # a diagram or move document with a key its kind does not define ends
-    # with exit 64 and one error line naming the key, not a silent ignore
+    # a matrix, diagram or move document with a key its kind does not
+    # define ends with exit 64 and one error line naming the key, not a
+    # silent ignore; a leading blank line is JSON whitespace and changes
+    # nothing
+    lead, _, kind = kind.rpartition(":")
+    lead = "\n" if lead else ""
     doc = tmp_path / "doc.json"
-    if kind == "diagram":
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(catalog.raw_payload("wh-double-matrix"))
+    if kind == "matrix":
+        m = json.loads(catalog.raw_payload("wh-double-matrix"))
+        doc.write_text(lead + json.dumps(dict(m, colour="red")))
+        argv = ["validate", str(doc)]
+    elif kind == "diagram":
         d = json.loads(catalog.raw_payload("whitehead"))
-        doc.write_text(json.dumps(dict(d, colour="red")))
+        doc.write_text(lead + json.dumps(dict(d, colour="red")))
         argv = ["ht", str(doc)]
     else:
-        matrix = tmp_path / "matrix.json"
-        matrix.write_text(catalog.raw_payload("wh-double-matrix"))
-        doc.write_text(json.dumps([dict(_UNKNOWN_KEY_MOVES[kind], colour=1)]))
+        doc.write_text(lead + json.dumps(
+            [dict(_UNKNOWN_KEY_MOVES[kind], colour=1)]))
         argv = ["replay", str(matrix), str(doc)]
     proc = _assert_child_usage_error(argv)
     assert proc.stderr.count("\n") == 1 and "'colour'" in proc.stderr
 
 
-@pytest.mark.parametrize("sublink", [",", "", "1,1"])
+@pytest.mark.parametrize("sublink", [",", "", "1,1", "1,,2", "1,"])
 def test_htplus_refuses_empty_or_repeated_sublink(paths, sublink):
     _assert_child_usage_error(
         ["htplus", paths["whitehead"], "--sublink", sublink])

@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from boundarylink import catalog, diagrams as dg, seifert
+
+DATA = Path(__file__).parent / "data"
 
 
 def hopf() -> dg.LinkDiagram:
@@ -129,14 +133,31 @@ def test_word_utilities():
     assert dg.concat((1, 2), (-2, 3)) == (1, 3)
 
 
+_BUILT = {
+    "closure(cable(beta,(2,3)))":
+        lambda: dg.closure(dg.cable(catalog.load("beta"), (2, 3))),
+    "closure(trivial(3))": lambda: dg.closure(dg.trivial(3)),
+    # strand 0 passes over twice and under nothing
+    "closure(braid(3,[1,-1,2,2]))":
+        lambda: dg.closure(dg.braid(3, [1, -1, 2, 2])),
+}
+
+
+def _closed_link(name: str) -> dg.LinkDiagram:
+    return _BUILT[name]() if name in _BUILT else catalog.load(name)
+
+
+_CLOSED = ("hopf", "whitehead", "borromean", "closure(cable(beta,(2,3)))",
+           "closure(braid(3,[1,-1,2,2]))")
+
+
 def test_longitudes_abelianize_to_linking_numbers():
     # degree-1 Magnus coefficients of each longitude equal the linking
     # numbers with the other components: the diagrammatic count and the
     # group-theoretic count must agree
     from boundarylink import magnus
-    for name in ("hopf", "whitehead", "borromean"):
-        d = catalog.load(name)
-        longs = dg.wirtinger_longitudes(d, depth=2)
+    for d in map(_closed_link, _CLOSED):
+        longs = dg.wirtinger_longitudes(d, (2,) * d.n)
         for i, w in enumerate(longs):
             series = magnus.magnus_expand(w, d.n, 1, reduced=False)
             for j in range(d.n):
@@ -144,11 +165,20 @@ def test_longitudes_abelianize_to_linking_numbers():
                 assert series.as_dict().get((j + 1,), 0) == expect
 
 
+def test_longitude_words_are_pinned():
+    # sha256 of the JSON text of each call's words, as the arc-dictionary
+    # sweep wrote them; the per-strand sweep must give the same words
+    for case in json.loads((DATA / "longitude-words.json").read_text()):
+        words = dg.wirtinger_longitudes(_closed_link(case["diagram"]),
+                                        tuple(case["depths"]))
+        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+        assert digest == case["sha256"], case
+
+
 def test_longitude_nullhomologous():
     # zero framing: the longitude has exponent sum zero in its own meridian
-    for name in ("hopf", "whitehead", "borromean"):
-        d = catalog.load(name)
-        for i, w in enumerate(dg.wirtinger_longitudes(d, depth=3)):
+    for d in map(_closed_link, _CLOSED):
+        for i, w in enumerate(dg.wirtinger_longitudes(d, (3,) * d.n)):
             assert dg.exponent_sum(w, i + 1) == 0
 
 

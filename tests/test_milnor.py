@@ -257,7 +257,7 @@ def test_longitudes_per_component_depth_is_a_snapshot():
     d = _oracle_links()["b2"]
     mixed = dg.wirtinger_longitudes(d, (3, 4, 2))
     for s, depth in enumerate((3, 4, 2)):
-        assert mixed[s] == dg.wirtinger_longitudes(d, depth)[s]
+        assert mixed[s] == dg.wirtinger_longitudes(d, (depth,) * 3)[s]
     with pytest.raises(seifert.StructureError):
         dg.wirtinger_longitudes(d, (3, 4))
     with pytest.raises(seifert.StructureError):
